@@ -3,8 +3,11 @@
 .PHONY: install test test-fast bench bench-table3 serve-bench \
 	serve-daemon-bench serve-replica-bench eval-bench history-bench \
 	train-telemetry-bench parallel-bench data-bench perf-bench \
-	anomaly-bench trace-demo experiments clean-cache docs-test lint \
-	lint-private lint-docstrings lint-dtype docs-linkcheck
+	anomaly-bench perf-record perf-compare trace-demo experiments \
+	clean-cache docs-test lint lint-private lint-docstrings lint-dtype \
+	docs-linkcheck
+
+OUT ?= perf_runs.json
 
 install:
 	pip install -e .
@@ -51,6 +54,12 @@ perf-bench:  ## speed pass: >=3x train/eval vs the float64 seed path + parity
 anomaly-bench:  ## calibrated score op as anomaly detector: ROC-AUC >= 0.85
 	pytest benchmarks/test_anomaly_roc.py --benchmark-only -s
 
+perf-record:  ## repository benchmark (BENCHMARK.json), appending run records to $(OUT)
+	python3 benchmarks/perf/run.py --json $(OUT) $(ARGS)
+
+perf-compare:  ## verdict per workload x metric: make perf-compare PARENT=a.json CHANGE=b.json
+	python3 benchmarks/perf/compare.py $(PARENT) $(CHANGE)
+
 docs-test:  ## executable docs: every fenced python block + every example script
 	PYTHONPATH=src python tools/run_doc_snippets.py
 	PYTHONPATH=src python examples/quickstart.py --epochs 1 --dim 16
@@ -95,10 +104,11 @@ lint-docstrings:  ## every public def/class in history, parallel, serving docume
 	python tools/check_docstrings.py
 
 lint-private:  ## no reaching into GlobalHistoryIndex internals from outside
-	@! grep -rnE '\._(facts|buffer|cursor|answers|facts_of_entity)\b' \
+	@! grep -rnE '\._(facts|buffer|cursor|base|tail|base_size|tail_size|base_csr|tail_csr)\b' \
 		src tests benchmarks examples \
 		--include='*.py' \
 		--exclude=subgraph.py \
+		--exclude=test_subgraph_csr.py \
 		| grep -v 'self\._' \
 		|| { echo 'private GlobalHistoryIndex attribute accessed outside'\
 		' repro/core/subgraph.py (use facts_since / the public API)'; \

@@ -62,7 +62,9 @@ def attribute_completions(entities: Sequence[int], subject: int,
     :meth:`repro.serving.InferenceEngine.window_before` — the §III-C
     input) and the global historical answer vocabulary
     ``answer_counts`` (``GlobalHistoryIndex.answer_counts(s, r)`` — the
-    §III-D repetitive history).  Returns one dict per entity::
+    §III-D repetitive history; a dict holding only the candidates'
+    counts, e.g. from ``GlobalHistoryIndex.fact_counts``, gives the same
+    rows).  Returns one dict per entity::
 
         {"local_count":  #(s, r, e) facts inside the local window,
          "global_count": #(s, r, e) facts in the whole history,

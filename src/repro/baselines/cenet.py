@@ -40,11 +40,9 @@ class CENET(EmbeddingBaseline):
 
     # ------------------------------------------------------------------
     def _frequencies(self, batch) -> np.ndarray:
-        index = batch.history_index
-        freq = np.zeros((len(batch), self.num_entities), dtype=np.float32)
-        for row, (s, r) in enumerate(zip(batch.subjects, batch.relations)):
-            for obj, count in index.answer_counts(int(s), int(r)).items():
-                freq[row, obj] = count
+        freq = batch.history_index.answer_count_matrix(
+            batch.subjects, batch.relations, self.num_entities,
+            dtype=np.float32)
         return np.tanh(freq)  # saturating frequency feature, in [0, 1)
 
     def _query_features(self, batch):
@@ -77,11 +75,9 @@ class CENET(EmbeddingBaseline):
     def _historical_contrast(self, batch, features) -> Tensor:
         """Supervised contrast: queries whose answers are historical form
         one class, the rest the other (CENET's core loss)."""
-        index = batch.history_index
-        is_historical = np.array(
-            [int(o) in index.historical_answers(int(s), int(r))
-             for s, r, o in zip(batch.subjects, batch.relations,
-                                batch.objects)], dtype=bool)
+        counts = batch.history_index.answer_count_matrix(
+            batch.subjects, batch.relations, self.num_entities)
+        is_historical = counts[np.arange(len(batch)), batch.objects] > 0
         # need both classes represented to form positive/negative pairs
         if not is_historical.any() or is_historical.all():
             return None

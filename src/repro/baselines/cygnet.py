@@ -36,15 +36,10 @@ class CyGNet(EmbeddingBaseline):
 
     def _copy_scores(self, batch) -> np.ndarray:
         """Frequency-weighted mask over each query's historical answers."""
-        index = batch.history_index
-        scores = np.zeros((len(batch), self.num_entities), dtype=np.float32)
-        for row, (s, r) in enumerate(zip(batch.subjects, batch.relations)):
-            counts = index.answer_counts(int(s), int(r))
-            if counts:
-                total = sum(counts.values())
-                for obj, count in counts.items():
-                    scores[row, obj] = count / total
-        return scores
+        counts = batch.history_index.answer_count_matrix(
+            batch.subjects, batch.relations, self.num_entities)
+        total = np.maximum(counts.sum(axis=1, keepdims=True), 1)
+        return (counts / total).astype(np.float32)
 
     def score_batch(self, batch) -> Tensor:
         entities = self.entities()

@@ -60,15 +60,10 @@ class TiRGN(EmbeddingBaseline):
         the non-parametric equivalent (a hard binary mask would overstate
         the component relative to the published model).
         """
-        index = batch.history_index
-        mask = np.zeros((len(batch), self.num_entities), dtype=np.float32)
-        for row, (s, r) in enumerate(zip(batch.subjects, batch.relations)):
-            counts = index.answer_counts(int(s), int(r))
-            if counts:
-                total = sum(counts.values())
-                for obj, count in counts.items():
-                    mask[row, obj] = count / total
-        return mask
+        counts = batch.history_index.answer_count_matrix(
+            batch.subjects, batch.relations, self.num_entities)
+        total = np.maximum(counts.sum(axis=1, keepdims=True), 1)
+        return (counts / total).astype(np.float32)
 
     def score_batch(self, batch) -> Tensor:
         encoding = self.encoder(batch.snapshots, batch.time, self.entities(),

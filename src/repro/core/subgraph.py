@@ -23,22 +23,77 @@ Facts live in two time-sorted regions: an immutable columnar **base**
 memory-mapped ``repro.data`` store file these are zero-copy views into
 the file) and a growable row-major **tail** that absorbs streamed
 :meth:`GlobalHistoryIndex.extend` appends.  Base rows always precede
-tail rows in time, so binary search and row gathering span both regions
-with plain offset arithmetic.
+tail rows in time, so a global row id is either a base row or
+``base size + tail row``.
+
+The index state is a cursor: rows ``[0, cursor)`` are "in the past",
+and :meth:`GlobalHistoryIndex.advance_to` only binary-searches the time
+column to move it.  Lookups go through one entity → rows CSR per region
+(:class:`_EntityRows`): one sorted array of int64 keys
+``entity * 2**32 + side + row`` in which every entity owns two runs,
+the rows where it is the subject and the rows where it is the object,
+each in ascending row order.  One vectorized ``searchsorted`` cuts
+every requested run at the cursor.  Historical answers are the subject
+run's rows whose relation matches; there is no per-pair structure.  A
+batch of queries shares one pass through
+:meth:`GlobalHistoryIndex.answer_count_matrix` (dense counts, for
+scorers) or :meth:`GlobalHistoryIndex.fact_counts` (one count per
+``(s, r, o)``, for provenance).
+
+Both CSRs are pure functions of the stored facts, never of the cursor.
+The base CSR is built on the first lookup that reaches the base and
+lives as long as the index.  A key does not depend on the region's
+size, so the tail CSR grows in place: ``extend`` only appends rows, and
+the next lookup that reaches the tail sorts the keys of the rows
+appended since and merges them into the tail CSR's keys.  Costs:
+``advance_to`` O(log n) and :meth:`GlobalHistoryIndex.rewind` O(1); the
+base CSR one O(n log n) sort per index; a streamed append of k facts
+amortized O(k), plus O(k log k + tail) at the next lookup that reaches
+the tail — a merge (one copy of the tail's keys), never a re-sort of
+rows already indexed.  An engine without a store file keeps its whole
+history in the tail, so there the copy grows with the history.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..perf import FLAGS
 from ..tkg.quadruples import FACT_DTYPE, QuadrupleSet
 
 _EMPTY_COLUMN = np.empty(0, dtype=FACT_DTYPE)
 _EMPTY_COLUMN.setflags(write=False)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct values in ascending order: a sort plus an
+    adjacent-difference mask.
+
+    Equal to ``np.unique(values)``, which on numpy 2.4 is about 40x
+    slower on the 10^5-key inputs of the subgraph path.
+    """
+    values = np.sort(values)
+    if len(values) > 1:
+        keep = np.empty(len(values), dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(a, b) for a, b in zip(starts, stops)])``."""
+    lengths = stops - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return shift + np.arange(len(shift))
+
+
+def _pair_keys(subjects: np.ndarray, relations: np.ndarray) -> np.ndarray:
+    """One int64 per ``(subject, relation)`` pair of int32-range ids."""
+    return ((subjects.astype(np.int64) << 32)
+            | (relations.astype(np.int64) & 0xFFFFFFFF))
 
 
 def _dedupe_triples(src: np.ndarray, rel: np.ndarray, dst: np.ndarray
@@ -64,11 +119,91 @@ def _dedupe_triples(src: np.ndarray, rel: np.ndarray, dst: np.ndarray
     max_d = int(d.max()) + 1
     if max_s * max_r * max_d > 2 ** 63 - 1:  # python ints: no silent wrap
         return None
-    keys = np.unique((s * max_r + r) * max_d + d)
+    keys = _sorted_unique((s * max_r + r) * max_d + d)
     sr, out_dst = np.divmod(keys, max_d)
     out_src, out_rel = np.divmod(sr, max_r)
     return (out_src.astype(FACT_DTYPE), out_rel.astype(FACT_DTYPE),
             out_dst.astype(FACT_DTYPE))
+
+
+# Key layout of :class:`_EntityRows`: ``entity * 2**32 + side + row``
+# with ``side`` 0 for the subject run and ``_OBJECT_RUN`` for the object
+# run.  Rows of one region stay below 2**31, so keys never depend on the
+# region's size and a new chunk's keys merge into a sorted array as is.
+_OBJECT_RUN = 1 << 31
+_ROW_MASK = _OBJECT_RUN - 1
+_ENTITY_SHIFT = 32
+_ENTITY_STRIDE = 1 << _ENTITY_SHIFT   # multiplied, not shifted: ids may be < 0
+
+
+class _EntityRows:
+    """Entity → rows CSR over one storage region (see "Storage model").
+
+    ``keys`` is the sorted array of one key per (fact, side) of the
+    first ``size`` rows of the region; an entity's subject run starts at
+    key ``entity * 2**32`` and its object run ``2**31`` later, each in
+    ascending row order, so the rows below a cursor are a prefix of each
+    run and ``key & (2**31 - 1)`` recovers the row.
+    """
+
+    def __init__(self, first_row: int):
+        self.first_row = first_row   # global id of the region's row 0
+        self.size = 0
+        self.keys = np.empty(0, dtype=np.int64)
+        # Ids outside [low, high] own no rows; checking that first also
+        # keeps ``entity * 2**32`` from wrapping int64.
+        self.low, self.high = 0, -1
+        self.relations = self.objects = _EMPTY_COLUMN
+
+    def add(self, subjects: np.ndarray, relations: np.ndarray,
+            objects: np.ndarray) -> None:
+        """Index the rows past ``size`` of the region's (grown) columns.
+
+        The new keys are sorted and merged into ``keys``: O(k log k) for
+        k new rows plus one O(size) copy, never a re-sort of old rows.
+        """
+        if len(subjects) > _OBJECT_RUN:
+            raise ValueError(f"a storage region holds at most {_OBJECT_RUN} "
+                             f"facts, got {len(subjects)}")
+        rows = np.arange(self.size, len(subjects), dtype=np.int64)
+        new = np.concatenate([
+            subjects[self.size:].astype(np.int64) * _ENTITY_STRIDE + rows,
+            objects[self.size:].astype(np.int64) * _ENTITY_STRIDE
+            + (_OBJECT_RUN + rows)])
+        new.sort()
+        if self.size:
+            new = np.insert(self.keys, np.searchsorted(self.keys, new), new)
+        self.keys = new
+        self.size = len(subjects)
+        self.low = int(new[0]) >> _ENTITY_SHIFT
+        self.high = int(new[-1]) >> _ENTITY_SHIFT
+        self.relations = relations
+        self.objects = objects
+
+    def _run_keys(self, entities: np.ndarray, rows: int,
+                  side: int = 0) -> np.ndarray:
+        """Keys of the rows below ``rows`` in the run at ``side`` (0:
+        subject, ``_OBJECT_RUN``: object) of each of ``entities``."""
+        known = entities[(entities >= self.low) & (entities <= self.high)]
+        start = known * _ENTITY_STRIDE + side
+        return self.keys[_ranges(np.searchsorted(self.keys, start),
+                                 np.searchsorted(self.keys, start + rows))]
+
+    def rows_of(self, entities: np.ndarray, rows: int) -> np.ndarray:
+        """Rows below ``rows`` with one of ``entities`` (int64) as subject
+        or object; a row may repeat."""
+        return np.concatenate([self._run_keys(entities, rows),
+                               self._run_keys(entities, rows, _OBJECT_RUN)]
+                              ) & _ROW_MASK
+
+    def answers(self, subjects: np.ndarray, rows: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(subject, relation, object)`` of the rows below ``rows`` with
+        one of ``subjects`` (int64) as subject, subject-major then in row
+        order."""
+        keys = self._run_keys(subjects, rows)
+        row = keys & _ROW_MASK
+        return keys >> _ENTITY_SHIFT, self.relations[row], self.objects[row]
 
 
 class GlobalHistoryIndex:
@@ -92,9 +227,9 @@ class GlobalHistoryIndex:
         self._tail_size = 0
         self._cursor = 0           # rows [0, cursor) are "in the past"
         self.horizon = -1          # latest fully-included timestamp + 1
-        # incremental structures
-        self._facts_of_entity: Dict[int, List[int]] = defaultdict(list)
-        self._answers: Dict[Tuple[int, int], Dict[int, int]] = defaultdict(dict)
+        # Entity -> rows CSRs, built on first use (see "Storage model").
+        self._base_csr: Optional[_EntityRows] = None
+        self._tail_csr = _EntityRows(first_row=self._base_size)
 
     @classmethod
     def empty(cls) -> "GlobalHistoryIndex":
@@ -120,13 +255,10 @@ class GlobalHistoryIndex:
         index = cls(QuadrupleSet.empty())
         index._base = columns
         index._base_size = len(subjects)
+        index._tail_csr = _EntityRows(first_row=index._base_size)
         return index
 
     # -- region-spanning primitives ------------------------------------
-    @property
-    def _size(self) -> int:
-        return self._base_size + self._tail_size
-
     def _search_time(self, t: int, side: str) -> int:
         """``np.searchsorted`` over the (base + tail) time sequence."""
         position = int(np.searchsorted(self._base[3][:self._base_size], t,
@@ -135,28 +267,6 @@ class GlobalHistoryIndex:
             return position
         return self._base_size + int(np.searchsorted(
             self._tail[:self._tail_size, 3], t, side=side))
-
-    def _columns_between(self, start: int, end: int
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (s, r, o) columns of rows ``[start, end)``, concatenated."""
-        base_end = min(end, self._base_size)
-        parts_s, parts_r, parts_o = [], [], []
-        if start < base_end:
-            parts_s.append(self._base[0][start:base_end])
-            parts_r.append(self._base[1][start:base_end])
-            parts_o.append(self._base[2][start:base_end])
-        if end > self._base_size:
-            tail_start = max(start - self._base_size, 0)
-            chunk = self._tail[tail_start:end - self._base_size]
-            parts_s.append(chunk[:, 0])
-            parts_r.append(chunk[:, 1])
-            parts_o.append(chunk[:, 2])
-        if not parts_s:
-            return _EMPTY_COLUMN, _EMPTY_COLUMN, _EMPTY_COLUMN
-        if len(parts_s) == 1:
-            return parts_s[0], parts_r[0], parts_o[0]
-        return (np.concatenate(parts_s), np.concatenate(parts_r),
-                np.concatenate(parts_o))
 
     def _rows_between(self, start: int, end: int) -> np.ndarray:
         """Rows ``[start, end)`` as a read-only ``(k, 4)`` array."""
@@ -192,6 +302,49 @@ class GlobalHistoryIndex:
                                      tail_rows[:, col]])
                      for col in range(3))
 
+    def _regions(self) -> List[Tuple[_EntityRows, int]]:
+        """``(CSR, indexed row count)`` of each region with indexed rows,
+        building the base CSR or merging pending tail rows on the way."""
+        regions = []
+        base_rows = min(self._cursor, self._base_size)
+        if base_rows:
+            if self._base_csr is None:
+                self._base_csr = _EntityRows(first_row=0)
+                self._base_csr.add(*self._base[:3])
+            regions.append((self._base_csr, base_rows))
+        tail_rows = self._cursor - self._base_size
+        if tail_rows > 0:
+            if self._tail_csr.size < self._tail_size:
+                live = self._tail[:self._tail_size]
+                self._tail_csr.add(live[:, 0], live[:, 1], live[:, 2])
+            regions.append((self._tail_csr, tail_rows))
+        return regions
+
+    def _answers(self, subjects: np.ndarray, relations: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indexed historical answers of a non-empty batch of int64
+        ``(subject, relation)`` pairs.
+
+        Returns ``(wanted, pair, objects)``: the distinct packed pair keys
+        in ascending order, and for each indexed fact answering one of
+        them its position in ``wanted`` and its object — region by
+        region, subject-major, then in row order (so one pair's objects
+        come in row order).
+        """
+        wanted = _sorted_unique(_pair_keys(subjects, relations))
+        subjects = _sorted_unique(subjects)
+        pairs, objects = [], []
+        for region, rows in self._regions():
+            subj, rel, obj = region.answers(subjects, rows)
+            keys = _pair_keys(subj, rel)
+            found = np.minimum(np.searchsorted(wanted, keys), len(wanted) - 1)
+            hit = wanted[found] == keys
+            pairs.append(found[hit])
+            objects.append(obj[hit])
+        if not pairs:
+            return wanted, np.empty(0, dtype=np.int64), _EMPTY_COLUMN
+        return wanted, np.concatenate(pairs), np.concatenate(objects)
+
     def extend(self, facts: np.ndarray) -> None:
         """Append new facts ``(k, 4)`` in amortized O(k).
 
@@ -199,6 +352,8 @@ class GlobalHistoryIndex:
         already-stored fact, so the time column stays globally sorted and
         :meth:`advance_to` keeps working with binary search.  Facts become
         visible to queries once ``advance_to`` moves past their timestamp.
+        Neither CSR is touched here: the next lookup that reaches the tail
+        merges the new rows into the tail CSR.
         """
         arr = np.asarray(facts, dtype=FACT_DTYPE)
         if arr.ndim != 2 or arr.shape[1] != 4:
@@ -230,38 +385,23 @@ class GlobalHistoryIndex:
     def rewind(self) -> None:
         """Forget the advance state; keep the stored facts.
 
-        Rewinding drops the incremental entity/answer structures and the
-        horizon, so the next :meth:`advance_to` replays from the start of
-        the buffer — behaviourally identical to constructing a fresh index
-        over the same facts, but without re-copying the (possibly large)
-        fact array.  ``HistoryContext.reset`` calls this at every epoch
-        start; the saving is measured in ``benchmarks/test_history_cache.py``.
+        O(1): the cursor and horizon reset, so the next
+        :meth:`advance_to` starts from the beginning of the buffer —
+        behaviourally identical to constructing a fresh index over the
+        same facts, but the fact columns and the entity CSRs (pure
+        functions of the stored facts) are kept.
+        ``HistoryContext.reset`` calls this at every epoch start; the
+        saving is measured in ``benchmarks/test_history_cache.py``.
         """
         self._cursor = 0
         self.horizon = -1
-        self._facts_of_entity = defaultdict(list)
-        self._answers = defaultdict(dict)
 
     def advance_to(self, query_time: int) -> None:
         """Include all facts with ``t < query_time`` into the index."""
         if query_time < self.horizon:
             raise ValueError("index can only advance forward in time "
                              f"(horizon={self.horizon}, asked {query_time})")
-        end = self._search_time(query_time, "left")
-        if end > self._cursor:
-            subs, rels, objs = self._columns_between(self._cursor, end)
-            facts_of_entity = self._facts_of_entity
-            answers = self._answers
-            row = self._cursor
-            # .tolist() up front: iterating python ints is several times
-            # faster than numpy scalar extraction on million-fact stores.
-            for s, r, o in zip(subs.tolist(), rels.tolist(), objs.tolist()):
-                facts_of_entity[s].append(row)
-                facts_of_entity[o].append(row)
-                counts = answers[(s, r)]
-                counts[o] = counts.get(o, 0) + 1
-                row += 1
-        self._cursor = end
+        self._cursor = self._search_time(query_time, "left")
         self.horizon = query_time
 
     def facts_since(self, t: int) -> np.ndarray:
@@ -279,12 +419,83 @@ class GlobalHistoryIndex:
 
     def historical_answers(self, subject: int, relation: int) -> Set[int]:
         """Objects o with (subject, relation, o) observed before horizon."""
-        return set(self._answers.get((subject, relation), ()))
+        return set(self._answers(np.array([subject], dtype=np.int64),
+                                 np.array([relation], dtype=np.int64)
+                                 )[2].tolist())
 
     def answer_counts(self, subject: int, relation: int) -> Dict[int, int]:
         """Occurrence counts of each historical answer (CyGNet's copy
-        vocabulary)."""
-        return self._answers.get((subject, relation), {})
+        vocabulary).
+
+        Returns a fresh dict the caller owns, keyed in first-seen
+        (earliest row) order, so sums over it are reproducible;
+        mutating it never affects the index.  For a batch of queries,
+        :meth:`answer_count_matrix` and :meth:`fact_counts` do the same
+        in one vectorized pass.
+        """
+        objects = self._answers(np.array([subject], dtype=np.int64),
+                                np.array([relation], dtype=np.int64))[2]
+        # Counter counts in C and keeps first-insertion (row) order.
+        return dict(Counter(objects.tolist()))
+
+    def answer_count_matrix(self, subjects: np.ndarray, relations: np.ndarray,
+                            num_entities: int, dtype=np.int64) -> np.ndarray:
+        """Dense :meth:`answer_counts` for a batch of queries.
+
+        Returns a ``(len(subjects), num_entities)`` array of ``dtype``
+        whose row ``q`` holds, at column ``o``, how often ``(subjects[q],
+        relations[q], o)`` was observed before the horizon.  Raises
+        ``ValueError`` when an indexed answer is not an entity id below
+        ``num_entities``.
+        """
+        subjects = np.asarray(subjects, dtype=np.int64).reshape(-1)
+        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
+        counts = np.zeros((len(subjects), num_entities), dtype=dtype)
+        if not len(subjects):
+            return counts
+        wanted, pair, objects = self._answers(subjects, relations)
+        if not len(objects):
+            return counts
+        if objects.min() < 0 or objects.max() >= num_entities:
+            raise ValueError(f"historical answers span [{objects.min()}, "
+                             f"{objects.max()}], not entity ids below "
+                             f"num_entities={num_entities}")
+        # Distinct (pair, object) entries with their multiplicities, in
+        # pair-major order, then scattered to every query of each pair.
+        keys = np.sort(pair * num_entities + objects)
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        multiplicity = np.diff(np.r_[first, len(keys)])
+        entry_pair, entry_object = np.divmod(keys[first], num_entities)
+        bounds = np.searchsorted(entry_pair, np.arange(len(wanted) + 1))
+        query_pair = np.searchsorted(wanted, _pair_keys(subjects, relations))
+        low, high = bounds[query_pair], bounds[query_pair + 1]
+        entries = _ranges(low, high)
+        counts[np.repeat(np.arange(len(subjects)), high - low),
+               entry_object[entries]] = multiplicity[entries]
+        return counts
+
+    def fact_counts(self, subjects: np.ndarray, relations: np.ndarray,
+                    objects: np.ndarray) -> np.ndarray:
+        """How often each ``(subjects[q], relations[q], objects[q])`` was
+        observed before the horizon, as an int64 array aligned with the
+        queries: :meth:`answer_counts` looked up at one object per query,
+        without materializing a row per query.
+        """
+        subjects, relations, objects = (
+            np.asarray(col, dtype=np.int64).reshape(-1)
+            for col in (subjects, relations, objects))
+        if not len(subjects):
+            return np.zeros(0, dtype=np.int64)
+        wanted, pair, answers = self._answers(subjects, relations)
+        # One int64 key per (pair, object); the object axis is shifted to
+        # start at 0 so any int32 ids pack without collisions.
+        low = int(min(objects.min(), answers.min(initial=0)))
+        width = int(max(objects.max(), answers.max(initial=0))) - low + 1
+        keys = np.sort(pair * width + (answers - low))
+        query = (np.searchsorted(wanted, _pair_keys(subjects, relations))
+                 * width + (objects - low))
+        return (np.searchsorted(keys, query, side="right")
+                - np.searchsorted(keys, query, side="left"))
 
     def subgraph_for_queries(self, queries: Sequence[Tuple[int, int]],
                              deduplicate: bool = False
@@ -297,34 +508,27 @@ class GlobalHistoryIndex:
         *occurrence* contributes one edge, so recurring facts carry
         proportional weight in the R-GCN's degree-normalized
         aggregation.  Pass ``deduplicate=True`` to collapse repeats to
-        unique triples instead.
+        unique triples instead.  Edges come in ascending row order.
         """
-        seeds: Set[int] = set()
-        for subject, relation in queries:
-            seeds.add(int(subject))
-            seeds.update(self.historical_answers(int(subject), int(relation)))
-
-        row_ids: Set[int] = set()
-        for entity in seeds:
-            row_ids.update(self._facts_of_entity.get(entity, ()))
-        if not row_ids:
-            empty = np.empty(0, dtype=FACT_DTYPE)
+        empty = np.empty(0, dtype=FACT_DTYPE)
+        pairs = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+        regions = self._regions()
+        if not regions or not len(pairs):
+            return empty, empty.copy(), empty.copy()
+        # Seeds: the subjects (G'_g1) plus their historical answers (G'_g2).
+        seeds = _sorted_unique(np.concatenate([
+            pairs[:, 0], self._answers(pairs[:, 0], pairs[:, 1])[2]]))
+        ids = _sorted_unique(np.concatenate(
+            [region.first_row + region.rows_of(seeds, rows)
+             for region, rows in regions]))
+        if not len(ids):
             return empty, empty.copy(), empty.copy()
 
-        if FLAGS.fast_dedupe:
-            # np.sort over the raw set iteration order matches
-            # sorted(row_ids) exactly and skips the python-object sort.
-            ids = np.fromiter(row_ids, dtype=np.int64, count=len(row_ids))
-            ids.sort()
-        else:
-            ids = np.fromiter(sorted(row_ids), dtype=np.int64,
-                              count=len(row_ids))
         src, rel, dst = self._gather_triples(ids)
         if deduplicate:
-            if FLAGS.fast_dedupe:
-                deduped = _dedupe_triples(src, rel, dst)
-                if deduped is not None:
-                    return deduped
+            deduped = _dedupe_triples(src, rel, dst)
+            if deduped is not None:
+                return deduped
             rows = np.unique(np.stack([src, rel, dst], axis=1), axis=0)
             return rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy()
         return src.copy(), rel.copy(), dst.copy()

@@ -31,12 +31,9 @@ class FrequencyHeuristic(ExtrapolationModel):
         self.num_entities = num_entities
 
     def predict_on(self, batch) -> np.ndarray:
-        index = batch.history_index
-        scores = np.zeros((len(batch), self.num_entities), dtype=np.float64)
-        for row, (s, r) in enumerate(zip(batch.subjects, batch.relations)):
-            for obj, count in index.answer_counts(int(s), int(r)).items():
-                scores[row, obj] = count
-        return scores
+        return batch.history_index.answer_count_matrix(
+            batch.subjects, batch.relations, self.num_entities,
+            dtype=np.float64)
 
     def loss_on(self, batch) -> Tensor:
         raise TypeError("heuristic scorers have no parameters to train")

@@ -130,9 +130,10 @@ class HistoryStore:
     def rewind(self) -> None:
         """Rewind the monotonic index to the stream's start (epoch start).
 
-        O(indexed facts) to drop the incremental structures, instead of
-        the full fact-array copy a fresh :class:`GlobalHistoryIndex`
-        would pay; asserted behaviourally identical to a rebuild in
+        O(1): only the index's cursor and horizon reset.  Its fact
+        buffer and entity CSRs (pure functions of the stored facts) are
+        kept, where a fresh :class:`GlobalHistoryIndex` would copy and
+        re-sort them; asserted behaviourally identical to a rebuild in
         ``tests/history/test_store.py``.
         """
         self.index.rewind()

@@ -1,9 +1,9 @@
 """Feature flags for the hot-path performance kernels.
 
 The PR-8 speed pass rewired the encoder hot loop — fused message-passing
-/ GRU / relation-evolution kernels, cached in-degree normalizers, a
-key-encoded subgraph deduplicator, inverse-phase context reuse and
-dataset-keyed filter memoization.  Each lever sits behind a flag here,
+/ GRU / relation-evolution kernels, cached in-degree normalizers,
+inverse-phase context reuse, dataset-keyed filter memoization and an
+allocation-free optimizer step.  Each lever sits behind a flag here,
 default **on**, with the pre-pass implementation kept callable:
 
 * correctness tests assert the fast and legacy paths agree (bitwise for
@@ -29,7 +29,6 @@ class PerfFlags:
 
     fused_kernels: bool = True      # fused R-GCN/CompGCN/GRU/evolve ops
     degree_cache: bool = True       # memoized bincount/in-degree normalizers
-    fast_dedupe: bool = True        # key-encoded subgraph dedup (vs axis=0 unique)
     reuse_eval_context: bool = True  # share per-timestamp context across phases
     filter_cache: bool = True       # memoize eval filters per dataset
     inplace_optim: bool = True      # allocation-free Adam step / grad-clip norm
@@ -45,7 +44,8 @@ def legacy_kernels(**overrides: bool):
     Keyword overrides re-enable individual levers, e.g.
     ``legacy_kernels(degree_cache=True)``.  Restores the previous flag
     state on exit; used by the parity tests and the perf benchmark's
-    "before" measurements.
+    "before" measurements.  The history index has no legacy arm: its
+    subgraph path (``repro.core.subgraph``) is the same in both.
     """
     saved = {f.name: getattr(FLAGS, f.name) for f in fields(FLAGS)}
     unknown = set(overrides) - set(saved)

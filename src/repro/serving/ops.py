@@ -244,11 +244,11 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
     ranks = ranks_of_targets(scores, objects)
     evidence = []
     snapshots = engine.window_before(query_time)
-    index = engine.history_index_at(query_time)
-    for s, r, o in zip(subjects.tolist(), relations.tolist(),
-                       objects.tolist()):
-        row = attribute_completions([o], s, r, snapshots,
-                                    index.answer_counts(s, r))[0]
+    counts = engine.history_index_at(query_time).fact_counts(
+        subjects, relations, objects)
+    for s, r, o, count in zip(subjects.tolist(), relations.tolist(),
+                              objects.tolist(), counts.tolist()):
+        row = attribute_completions([o], s, r, snapshots, {o: count})[0]
         evidence.append(str(row["evidence"]))
     return FactScores(prob=fact_probs, rank=ranks, evidence=evidence)
 
@@ -328,13 +328,17 @@ def forecast_response(engine, subjects: np.ndarray, relations: np.ndarray,
     rows = filtered_topk_rows(scores, subjects, relations, target, k,
                               engine.filter if filtered else None)
     snapshots = engine.window_before(anchor)
-    index = engine.history_index_at(anchor)
+    entities = [[entity for entity, _ in row] for row in rows]
+    sizes = [len(row) for row in entities]
+    counts = iter(engine.history_index_at(anchor).fact_counts(
+        np.repeat(subjects, sizes), np.repeat(relations, sizes),
+        np.array([e for row in entities for e in row], dtype=np.int64)
+    ).tolist())
     results = []
-    for (s, r), row in zip(zip(subjects.tolist(), relations.tolist()),
-                           rows):
-        entities = [entity for entity, _ in row]
-        provenance = attribute_completions(entities, s, r, snapshots,
-                                           index.answer_counts(s, r))
+    for s, r, row, wanted in zip(subjects.tolist(), relations.tolist(),
+                                 rows, entities):
+        provenance = attribute_completions(
+            wanted, s, r, snapshots, {e: next(counts) for e in wanted})
         results.append([
             {"entity": int(entity), "prob": round(float(prob), 6),
              "provenance": fields}

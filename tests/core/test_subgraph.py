@@ -46,6 +46,22 @@ class TestAdvance:
         assert index.num_indexed_facts == 3
 
 
+class TestAnswerCounts:
+    def test_mutating_the_result_leaves_history_intact(self):
+        index = GlobalHistoryIndex(facts())
+        index.advance_to(3)
+        subgraph = index.subgraph_for_queries([(0, 0)])
+        counts = index.answer_counts(0, 0)
+        assert counts == {1: 1, 4: 1}
+        counts[1] = 7
+        counts[2] = 1
+        del counts[4]
+        assert list(index.answer_counts(0, 0).items()) == [(1, 1), (4, 1)]
+        assert index.historical_answers(0, 0) == {1, 4}
+        for got, want in zip(index.subgraph_for_queries([(0, 0)]), subgraph):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSubgraphExtraction:
     def test_one_hop_of_subject(self):
         index = GlobalHistoryIndex(facts())
