@@ -5,6 +5,13 @@ entity key and softmax-normalizes *across snapshots*, so snapshots that
 carry facts relevant to the query dominate the final representation (the
 paper's Fig. 1 motivation).  The global variant gates the subgraph
 aggregate per entity.
+
+Every module here is row-wise: output row ``e`` reads only row ``e`` of
+its inputs and the relations of the queries whose subject is ``e``.
+Inference exploits that by running them on the query subjects' rows
+(subjects relabelled to positions in those rows) and reusing the
+query-free rows — those built from empty query arrays — for every
+other entity.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ from .time_encoding import TimeEncoding
 class LocalEncoding:
     """Output bundle of the local encoder for one query timestamp."""
 
-    entities: Tensor                 # (N, d) final local representation
+    entities: Tensor                 # (N, d) final local representation,
+                                     # or (U, d) when ``attend`` got rows
     relations: Tensor                # (R*, d) evolved relation matrix
     snapshot_aggs: List[Tensor]      # per-snapshot R-GCN outputs
     last_agg: Optional[Tensor]       # aggregate of the most recent snapshot
@@ -139,19 +140,29 @@ class LocalRecurrentEncoder(Module):
 
     def attend(self, state: LocalRecurrentState, entities0: Tensor,
                query_subjects: np.ndarray,
-               query_relations: np.ndarray) -> LocalEncoding:
+               query_relations: np.ndarray,
+               rows: Optional[np.ndarray] = None) -> LocalEncoding:
         """Apply the query-dependent attention (Eq. 9-11) to a state.
 
         This is the only query-dependent part of the local pipeline, so a
         serving engine caches the state once per timestamp and re-runs
-        just this method per query batch.
+        just this method per query batch.  Attention is row-wise, so
+        ``rows`` (sorted unique entity ids covering ``query_subjects``)
+        restricts the output to those rows; every other row equals the
+        query-free attention (empty query arrays, zero relation context).
         """
-        key = self.query_key(entities0, state.relations, query_subjects,
+        base, evolved, aggs = entities0, state.entities, state.aggs
+        if rows is not None:
+            base = index_select(base, rows)
+            evolved = index_select(evolved, rows)
+            aggs = [index_select(agg, rows) for agg in aggs]
+            query_subjects = np.searchsorted(rows, query_subjects)
+        key = self.query_key(base, state.relations, query_subjects,
                              query_relations)                   # Eq. 9
-        if self.attention is not None and state.aggs:
-            final = self.attention(state.entities, state.aggs, key)  # Eq. 10-11
+        if self.attention is not None and aggs:
+            final = self.attention(evolved, aggs, key)          # Eq. 10-11
         else:
-            final = state.entities
+            final = evolved
         return LocalEncoding(entities=final, relations=state.relations,
                              snapshot_aggs=state.aggs,
                              last_agg=state.aggs[-1] if state.aggs else None)

@@ -37,7 +37,8 @@ from ..interface import ExtrapolationModel
 from ..nn import Embedding, Tensor, no_grad
 from ..nn.dtypes import default_float
 from ..nn.functional import multilabel_soft_loss
-from ..nn.ops import index_select
+from ..nn.ops import fused_blend, index_select, l2_normalize
+from ..nn.tensor import is_grad_enabled
 from ..utils.seeding import spawn_rngs
 from .contrast import VALID_STRATEGIES, QueryContrastModule
 from .decoder import ConvTransE
@@ -174,6 +175,20 @@ class LogCL(ExtrapolationModel):
             base = self.static_encoder(base)
         return base
 
+    def _query_rows(self) -> bool:
+        """Whether forwards may produce only the query subjects' rows.
+
+        True at inference (eval mode, no autograd graph) when Eq. 18
+        scores against the local matrix: then the global encoding and
+        the fusion reach the score only through the subject rows, and
+        every other candidate row is the query-free local attention.
+        Training, and ``candidate_source="fused"`` (whose candidates are
+        the whole fused matrix), keep the all-rows forward.
+        """
+        return (not self.training and not is_grad_enabled()
+                and self.local_encoder is not None
+                and self.config.candidate_source == "local")
+
     def precompute_context(self, snapshots, query_time: int) -> Dict:
         """Query-independent encoder state for one timestamp.
 
@@ -183,44 +198,69 @@ class LogCL(ExtrapolationModel):
         engine and fed to :meth:`encode_queries` for any number of query
         batches at that timestamp; ``encode_queries(precompute_context(...),
         ...)`` is numerically identical to :meth:`encode`.
+
+        At inference the context also carries ``"local_free"``: the
+        Eq. 10-11 attended local matrix with a zero relation context for
+        every entity (L2-normalized when ``normalize_encodings``), i.e.
+        every row of the candidate matrix that no query subject touches.
+        It costs one extra (|E|, d) matrix per cached context.
         """
         entities0 = self._base_entities()
         relations0 = self.relation_embedding.all()
         local_state = None
+        local_free = None
         if self.local_encoder is not None:
             local_state = self.local_encoder.encode_window(
                 snapshots, query_time, entities0, relations0)
+            if self._query_rows():
+                no_queries = np.zeros(0, dtype=np.int64)
+                local_free = self._normalize(self.local_encoder.attend(
+                    local_state, entities0, no_queries, no_queries).entities)
         return {"entities0": entities0, "relations0": relations0,
-                "local_state": local_state, "query_time": query_time}
+                "local_state": local_state, "local_free": local_free,
+                "query_time": query_time}
+
+    def _normalize(self, entities: Optional[Tensor]) -> Optional[Tensor]:
+        if entities is None or not self.config.normalize_encodings:
+            return entities
+        return l2_normalize(entities)
 
     def encode_queries(self, context: Dict, subjects: np.ndarray,
                        relations: np.ndarray,
                        global_edges) -> Dict[str, Optional[Tensor]]:
-        """Query-dependent half of :meth:`encode` on a precomputed context."""
+        """Query-dependent half of :meth:`encode` on a precomputed context.
+
+        With a query-free local matrix in the context and the model at
+        inference (:meth:`_query_rows`), both encoders produce only the
+        unique subject rows: ``fused`` then holds those rows,
+        ``subject_rows`` maps each query to its row, and ``candidates``
+        is a copy of ``context["local_free"]`` with the subject rows
+        replaced.  Otherwise every matrix covers all entities.
+        """
         entities0 = context["entities0"]
         relations0 = context["relations0"]
+        local_free = context["local_free"]
+        rows, subject_rows = None, subjects
+        if local_free is not None and self._query_rows():
+            rows, subject_rows = np.unique(subjects, return_inverse=True)
 
         local = None
         if context["local_state"] is not None:
             local = self.local_encoder.attend(context["local_state"],
-                                              entities0, subjects, relations)
+                                              entities0, subjects, relations,
+                                              rows=rows)
         glob = None
         if self.global_encoder is not None:
             src, rel, dst = global_edges
             glob = self.global_encoder(entities0, relations0, src, rel, dst,
-                                       subjects, relations)
+                                       subjects, relations, rows=rows)
 
         lam = self.config.fusion_lambda
-        local_entities = local.entities if local is not None else None
-        global_entities = glob.entities if glob is not None else None
-        if self.config.normalize_encodings:
-            from ..nn.ops import l2_normalize
-            if local_entities is not None:
-                local_entities = l2_normalize(local_entities)
-            if global_entities is not None:
-                global_entities = l2_normalize(global_entities)
+        local_entities = self._normalize(
+            local.entities if local is not None else None)
+        global_entities = self._normalize(
+            glob.entities if glob is not None else None)
         if local_entities is not None and global_entities is not None:
-            from ..nn.ops import fused_blend
             from ..perf import FLAGS
             if FLAGS.fused_kernels:
                 fused = fused_blend(local_entities, global_entities, lam)
@@ -239,11 +279,18 @@ class LogCL(ExtrapolationModel):
         # against the local representations (falling back to the fused /
         # global matrix when the local encoder is ablated).
         candidates = fused
-        if self.config.candidate_source == "local" and local_entities is not None:
+        if rows is not None:
+            # Copy-on-write: the cached query-free matrix is shared by
+            # every batch at this timestamp.
+            merged = local_free.data.copy()
+            merged[rows] = local_entities.data
+            candidates = Tensor(merged)
+        elif (self.config.candidate_source == "local"
+              and local_entities is not None):
             candidates = local_entities
 
         return {"local": local, "global": glob, "fused": fused,
-                "candidates": candidates,
+                "subject_rows": subject_rows, "candidates": candidates,
                 "relations": rel_matrix, "relations0": relations0}
 
     def encode(self, snapshots, query_time: int, subjects: np.ndarray,
@@ -256,11 +303,12 @@ class LogCL(ExtrapolationModel):
                       relations: np.ndarray) -> Tensor:
         """Raw logits (Q, |E|) for the given queries (Eq. 18)."""
         from ..perf import FLAGS
+        subject_rows = encoded.get("subject_rows", subjects)
         if FLAGS.fused_kernels:
             return self.decoder.forward_indexed(
                 encoded["fused"], encoded["relations"],
-                encoded["candidates"], subjects, relations)
-        subj_emb = index_select(encoded["fused"], subjects)
+                encoded["candidates"], subject_rows, relations)
+        subj_emb = index_select(encoded["fused"], subject_rows)
         rel_emb = index_select(encoded["relations"], relations)
         return self.decoder(subj_emb, rel_emb, encoded["candidates"])
 

@@ -38,8 +38,10 @@ from ..obs import NULL_TELEMETRY, Telemetry
 # evaluations used to grow the training-side dict without limit; the
 # serving engine always capped at this size.
 DEFAULT_SUBGRAPH_CAPACITY = 512
-# Precomputed encoder contexts hold full entity matrices, so the default
-# bound is small; serving rarely needs more than a couple of horizons.
+# Precomputed encoder contexts hold full entity matrices (LogCL's: the
+# window's aggregates plus the query-free local matrix every read copies
+# its candidates from), so the default bound is small; serving rarely
+# needs more than a couple of horizons.
 DEFAULT_CONTEXT_CAPACITY = 4
 
 

@@ -399,13 +399,14 @@ def rrelu(t: Tensor, lower: float = 1.0 / 8.0, upper: float = 1.0 / 3.0,
 
     During training the negative-side slope is sampled uniformly from
     ``[lower, upper]`` per element; at eval it is fixed to the mean slope,
-    matching PyTorch's ``RReLU`` semantics.
+    matching PyTorch's ``RReLU`` semantics (one scalar, same products as
+    a full slope array).
     """
     if training:
         rng = rng or np.random.default_rng()
         slope = rng.uniform(lower, upper, size=t.shape).astype(t.data.dtype)
     else:
-        slope = np.full(t.shape, (lower + upper) / 2.0, dtype=t.data.dtype)
+        slope = t.data.dtype.type((lower + upper) / 2.0)
     out_data = np.where(t.data >= 0, t.data, slope * t.data)
 
     def backward(grad: np.ndarray) -> None:

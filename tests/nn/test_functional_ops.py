@@ -158,6 +158,21 @@ class TestDropoutRrelu:
         a = t64(np.array([-2.0, -0.5, 0.5, 2.0]))
         check_gradients(lambda x: ops.rrelu(x, training=False).sum(), [a])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rrelu_eval_matches_full_slope_array(self, dtype):
+        """The scalar eval slope gives the per-element slope's exact bits."""
+        x = RNG.standard_normal((64, 16)).astype(dtype)
+        grad = RNG.standard_normal((64, 16)).astype(dtype)
+        a = Tensor(x.copy(), requires_grad=True)
+        out = ops.rrelu(a, training=False)
+        out.backward(grad)
+        slope = np.full(x.shape, (1.0 / 8.0 + 1.0 / 3.0) / 2.0, dtype=dtype)
+        assert out.data.dtype == a.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data,
+                                      np.where(x >= 0, x, slope * x))
+        np.testing.assert_array_equal(a.grad,
+                                      grad * np.where(x >= 0, 1.0, slope))
+
 
 class TestConv1d:
     def test_conv1d_shape(self):

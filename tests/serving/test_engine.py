@@ -124,6 +124,66 @@ class TestColdParity:
         np.testing.assert_allclose(warm, cold, atol=1e-8)
 
 
+class TestContextStates:
+    """Scores never depend on the context cache's state.
+
+    The cached context carries the query-free local matrix every read
+    copies its candidates from, so a cold, warm, evicted-and-rebuilt or
+    post-advance context must all give bitwise-identical scores (the
+    benchmark replays a sample of served reads serially on that basis).
+    """
+
+    @staticmethod
+    def _queries(dataset, time):
+        facts = dataset.test.at_time(time).array
+        subjects, relations = facts[:, 0].copy(), facts[:, 1].copy()
+        # Overlapping batches, one with a repeated subject.
+        return [(subjects[:3], relations[:3]),
+                (subjects[1:], relations[1:]),
+                (subjects[[0, 0, 2]], relations[[0, 1, 2]])]
+
+    def test_cold_warm_and_evicted_contexts(self, logcl, dataset):
+        time = int(dataset.test.timestamps()[0])
+        queries = self._queries(dataset, time)
+        cold = [_fresh_engine(logcl, dataset, score_cache_size=0)
+                .predict(s, r, time=time) for s, r in queries]
+        engine = _fresh_engine(logcl, dataset, score_cache_size=0)
+        for rebuild in range(2):
+            for (s, r), expected in zip(queries, cold):
+                np.testing.assert_array_equal(
+                    engine.predict(s, r, time=time), expected)
+            engine.cache.clear()
+        counters = engine.stats.counters
+        assert counters["context_cache_misses"] == 2
+        assert counters["context_cache_hits"] == 2 * len(queries) - 2
+
+    def test_context_rebuilt_after_advance(self, logcl, dataset):
+        first, second = (int(t) for t in dataset.test.timestamps()[:2])
+        snapshot = dataset.test.at_time(first).array[:, :3].copy()
+        queries = self._queries(dataset, second)
+
+        def engine():
+            built = InferenceEngine(logcl, dataset.num_entities,
+                                    dataset.num_relations, window=3,
+                                    score_cache_size=0)
+            built.preload(dataset, splits=("train", "valid"))
+            return built
+
+        live = engine()
+        # A forecast builds (and caches) a context at `second` on the
+        # pre-advance history; the advance must evict it.
+        live.predict_horizon(*queries[0], steps=second - live.next_time + 1)
+        assert second in live.cache.contexts
+        live.advance(snapshot, time=first)
+        assert second not in live.cache.contexts
+        replay = engine()
+        replay.advance(snapshot, time=first)
+        for s, r in queries:
+            np.testing.assert_array_equal(
+                live.predict(s, r, time=second),
+                replay.predict(s, r, time=second))
+
+
 class TestEngineContracts:
     def test_monotonic_ingest_enforced(self, logcl, dataset):
         engine = InferenceEngine(logcl, dataset.num_entities,
