@@ -3,11 +3,12 @@
 .PHONY: install test test-fast bench bench-table3 serve-bench \
 	serve-daemon-bench serve-replica-bench eval-bench history-bench \
 	train-telemetry-bench parallel-bench data-bench perf-bench \
-	anomaly-bench perf-record perf-compare trace-demo experiments \
-	clean-cache docs-test lint lint-private lint-docstrings lint-dtype \
-	docs-linkcheck
+	anomaly-bench perf-record perf-compare profile-train trace-demo \
+	experiments clean-cache docs-test lint lint-private lint-docstrings \
+	lint-dtype docs-linkcheck
 
 OUT ?= perf_runs.json
+EPOCHS ?= 3
 
 install:
 	pip install -e .
@@ -59,6 +60,9 @@ perf-record:  ## repository benchmark (BENCHMARK.json), appending run records to
 
 perf-compare:  ## verdict per workload x metric: make perf-compare PARENT=a.json CHANGE=b.json
 	python3 benchmarks/perf/compare.py $(PARENT) $(CHANGE)
+
+profile-train:  ## cProfile of $(EPOCHS) warm LogCL epochs (icews14_like, dim 32), top functions by self time
+	PYTHONPATH=src python tools/profile_train.py --epochs $(EPOCHS)
 
 docs-test:  ## executable docs: every fenced python block + every example script
 	PYTHONPATH=src python tools/run_doc_snippets.py

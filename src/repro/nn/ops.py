@@ -855,11 +855,15 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
     cols = cols.transpose(0, 2, 1, 3).reshape(num_q * dim, 2 * kw)
     w2 = conv_w.data.reshape(num_k, 2 * kw)
     feat = (cols @ w2.T).reshape(num_q, dim, num_k).transpose(0, 2, 1)
-    pre1 = feat + conv_b.data[None, :, None]                   # (Q, K, d)
-    act1 = np.maximum(pre1, 0.0)
+    # The bias add writes C-order (Q, K, d) memory in the same pass; ReLU
+    # and the feature-map dropout then run in place, ``flat`` is a free
+    # reshape and the backward's masks are contiguous.  Same values as
+    # the strided-view expressions.
+    act1 = np.add(feat, conv_b.data[:, None], order="C")       # (Q, K, d)
+    np.maximum(act1, 0.0, out=act1)
     if drop:
         mask2 = (rng.random(act1.shape) < keep).astype(act1.dtype) / keep
-        act1 = act1 * mask2
+        act1 *= mask2
     flat = act1.reshape(num_q, num_k * dim)
     pre2 = flat @ fc_w.data + fc_b.data                        # (Q, d)
     act2 = np.maximum(pre2, 0.0)
@@ -879,10 +883,12 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
             fc_w._accumulate(flat.T @ g)
         if fc_b.requires_grad:
             fc_b._accumulate(g.sum(axis=0))
-        g = (g @ fc_w.data.T).reshape(num_q, num_k, dim)
+        g = (g @ fc_w.data.T).reshape(num_q, num_k, dim)      # fresh array
         if drop:
-            g = g * mask2
-        g = g * (pre1 > 0)
+            g *= mask2
+        # ReLU derivative: act1 > 0 exactly where the pre-activation is
+        # (a dropout scale is positive, and dropped entries are zero in g).
+        g *= act1 > 0
         if conv_b.requires_grad:
             conv_b._accumulate(g.sum(axis=(0, 2)))
         g2 = g.transpose(0, 2, 1).reshape(num_q * dim, num_k)

@@ -23,8 +23,9 @@ from repro.core.contrast import QueryContrastModule
 from repro.core.decoder import ConvTransE
 from repro.core.time_encoding import TimeEncoding
 from repro.datasets import icews14_like
+from repro.graph import rgcn as rgcn_module
 from repro.graph.compgcn import CompGCN
-from repro.graph.rgcn import RGCN
+from repro.graph.rgcn import RGCN, RGCNLayer
 from repro.nn import functional as F
 from repro.nn.ops import fused_blend, fused_multilabel_loss, index_select
 from repro.nn.recurrent import GRUCell
@@ -85,9 +86,41 @@ def _module_grads(module, inputs):
     return grads
 
 
+def _spy_on_relational_pass(monkeypatch):
+    """Record each ``fused_relational_pass`` call the R-GCN layer makes."""
+    calls = []
+    real = rgcn_module.fused_relational_pass
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["composition"], kwargs["activation"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rgcn_module, "fused_relational_pass", spy)
+    return calls
+
+
 class TestGraphLayers:
+    @staticmethod
+    def _assert_rgcn_parity(build, calls, fused_calls):
+        """Fast arm takes the fused kernel, legacy arm never does; both
+        give the same output and leave the generator in the same state."""
+        out_fast, grads_fast, state_fast = _run(build, fast=True)
+        assert calls == fused_calls
+        calls.clear()
+        out_legacy, grads_legacy, state_legacy = _run(build, fast=False)
+        assert calls == []
+        np.testing.assert_array_equal(out_fast, out_legacy)
+        assert state_fast == state_legacy
+        assert set(grads_fast) == set(grads_legacy)
+        for name in grads_fast:
+            np.testing.assert_allclose(grads_fast[name], grads_legacy[name],
+                                       rtol=1e-5, atol=1e-5,
+                                       err_msg=f"grad mismatch for {name}")
+
     @pytest.mark.parametrize("training", [False, True])
-    def test_rgcn_stack(self, training):
+    def test_rgcn_stack(self, training, monkeypatch):
+        calls = _spy_on_relational_pass(monkeypatch)
+
         def build():
             rng = np.random.default_rng(SEED)
             net = RGCN(DIM, 2, rng)
@@ -96,8 +129,25 @@ class TestGraphLayers:
             r = _tensor(rng, (5, DIM))
             out = net(h, r, *_edges(rng))
             _backward_sq(out)
-            return out.data.copy(), _module_grads(net, [h, r])
-        _assert_parity(build)
+            return (out.data.copy(), _module_grads(net, [h, r]),
+                    rng.bit_generator.state)
+        self._assert_rgcn_parity(build, calls, [("add", True)] * 2)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_rgcn_layer_without_activation(self, training, monkeypatch):
+        calls = _spy_on_relational_pass(monkeypatch)
+
+        def build():
+            rng = np.random.default_rng(SEED)
+            layer = RGCNLayer(DIM, rng, activation=False)
+            layer.train() if training else layer.eval()
+            h = _tensor(rng, (NODES, DIM))
+            r = _tensor(rng, (5, DIM))
+            out = layer(h, r, *_edges(rng))
+            _backward_sq(out)
+            return (out.data.copy(), _module_grads(layer, [h, r]),
+                    rng.bit_generator.state)
+        self._assert_rgcn_parity(build, calls, [("add", False)])
 
     @pytest.mark.parametrize("composition", ["sub", "mult"])
     def test_compgcn_stack(self, composition):
@@ -225,6 +275,51 @@ class TestDecoder:
         for name in grads_ref:
             np.testing.assert_allclose(grads_idx[name], grads_ref[name],
                                        rtol=1e-5, atol=1e-6, err_msg=name)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_convtranse_production_shape(self, training):
+        """Paper-sized decoder (dim 32, 50 kernels, ~160 queries) through
+        the folded gather: forward bitwise equal to the legacy
+        ``transform(...) @ cand.T``, same RNG draws, gradients within
+        tolerance, and a backward that can be replayed bitwise (the
+        kernel's in-place ops never touch what the forward saved)."""
+        dim, kernels, entities, num_rel, queries = 32, 50, 400, 20, 163
+
+        def build(fast):
+            rng = np.random.default_rng(SEED)
+            dec = ConvTransE(dim, rng, num_kernels=kernels)
+            dec.train() if training else dec.eval()
+            ent = _tensor(rng, (entities, dim))
+            rels = _tensor(rng, (num_rel, dim))
+            cand = _tensor(rng, (entities, dim))
+            si = rng.integers(0, entities, size=queries)
+            ri = rng.integers(0, num_rel, size=queries)
+            upstream = (rng.standard_normal((queries, entities))
+                        / queries).astype(np.float32)
+            if fast:
+                out = dec.forward_indexed(ent, rels, cand, si, ri)
+            else:
+                with legacy_kernels():
+                    out = dec.transform(index_select(ent, si),
+                                        index_select(rels, ri)) @ cand.T
+            state = dec._rng.bit_generator.state
+            out.backward(upstream)
+            tensors = [ent, rels, cand] + [p for _, p in
+                                           dec.named_parameters()]
+            return out, upstream, state, tensors
+
+        out_fast, upstream, state_fast, fast_tensors = build(True)
+        out_ref, _, state_ref, ref_tensors = build(False)
+        np.testing.assert_array_equal(out_fast.data, out_ref.data)
+        assert state_fast == state_ref
+        first = [t.grad.copy() for t in fast_tensors]
+        for got, ref in zip(first, (t.grad for t in ref_tensors)):
+            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+        for t in fast_tensors:
+            t.grad = None
+        out_fast._backward(upstream)
+        for again, once in zip((t.grad for t in fast_tensors), first):
+            np.testing.assert_array_equal(again, once)
 
 
 class TestLossKernels:
