@@ -107,7 +107,7 @@ lint-dtype:  ## float32 policy: wide floats only via repro/nn/dtypes.py
 lint-docstrings:  ## every public def/class in history, parallel, serving documented
 	python tools/check_docstrings.py
 
-lint-private:  ## no reaching into GlobalHistoryIndex internals from outside
+lint-private:  ## no reaching into GlobalHistoryIndex, filter or cache internals from outside
 	@! grep -rnE '\._(facts|buffer|cursor|base|tail|base_size|tail_size|base_csr|tail_csr)\b' \
 		src tests benchmarks examples \
 		--include='*.py' \
@@ -123,6 +123,15 @@ lint-private:  ## no reaching into GlobalHistoryIndex internals from outside
 		| grep -v 'src/repro/history/' \
 		|| { echo 'private snapshot/subgraph cache declared outside'\
 		' repro/history (use HistoryStore / ContextCache)'; \
+		exit 1; }
+	@! grep -rnE '\._(runs|mask_memo)\b|_ObjectRuns|_MaskMemo' \
+		src tests benchmarks examples \
+		--include='*.py' \
+		--exclude=filtering.py \
+		--exclude=test_filter_columnar.py \
+		|| { echo 'private filter storage accessed outside'\
+		' repro/tkg/filtering.py (use true_objects /'\
+		' mask_indices_for_batch)'; \
 		exit 1; }
 	@! grep -rnE '(np|numpy)\.memmap\(' \
 		src tests benchmarks examples \

@@ -31,10 +31,11 @@ FILTER_SETTINGS = ("time-aware", "raw", "static")
 _batch_ranks_vectorized = batch_ranks_vectorized
 _batch_ranks_per_query = batch_ranks_per_query
 
-# Dataset-keyed memo of evaluation filters.  Building a TimeAwareFilter
-# walks every quadruple of every split in python; repeated evaluations
-# of one benchmark (training-loop eval epochs, the benchmark tables, the
-# per-filter parity sweep) used to pay that walk each call.  Entries
+# Dataset-keyed memo of evaluation filters.  Building one augments every
+# split with inverses and sorts all of their facts (tens of milliseconds
+# at 0.3M facts); repeated evaluations of one benchmark (training-loop
+# eval epochs, the benchmark tables, the per-filter parity sweep) keep
+# it, together with its per-batch mask memo, across calls.  Entries
 # hold a strong reference to the dataset so an ``id()`` can never be
 # recycled while its entry is alive; ``evaluate``-built filters are
 # read-only (nothing calls ``add_facts`` on them), which is what makes

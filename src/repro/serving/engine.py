@@ -121,9 +121,6 @@ class ReadState:
     store_path: Optional[str]
     score_cache_size: int
     context_cache_size: int
-    # Whether the store file was adopted with its time-aware filter
-    # built (use_store_file's build_filter) — replicas must match.
-    store_filter: bool = True
     # Score-calibration config (repro.serving.ops.CalibrationConfig) or
     # None when the score op serves uncalibrated.  Part of the *read*
     # state because replicas must calibrate identically: the mutable
@@ -148,8 +145,7 @@ class ReadState:
             window=self.window, score_cache_size=self.score_cache_size,
             context_cache_size=self.context_cache_size)
         if self.store_path is not None:
-            engine.use_store_file(self.store_path,
-                                  build_filter=self.store_filter)
+            engine.use_store_file(self.store_path)
         if self.calibration is not None:
             engine.enable_calibration(self.calibration)
         return engine
@@ -349,7 +345,7 @@ class InferenceEngine:
             total += len(arr)
         return total
 
-    def use_store_file(self, path: str, build_filter: bool = True) -> int:
+    def use_store_file(self, path: str) -> int:
         """Adopt a memory-mapped ``repro.data`` store file as the history.
 
         Replaces whatever was ingested so far: the engine's history
@@ -360,11 +356,11 @@ class InferenceEngine:
         memory and are recorded, so :meth:`serving_state` stays
         replayable as (backing path + delta facts).
 
-        ``build_filter`` also loads the mapped facts into the time-aware
-        filter (needed for ``filtered`` predictions; python-loop
-        construction, O(facts) — skip it for raw-score serving of
-        million-fact stores).  Returns the number of augmented facts
-        mapped.
+        The mapped facts are also loaded into the time-aware filter
+        (``filtered`` predictions need it): one vectorized sort of the
+        store's columns, a few tens of milliseconds at 0.3M facts (see
+        :mod:`repro.tkg.filtering`).  Returns the number of augmented
+        facts mapped.
         """
         # Lazy import: repro.serving must not require repro.data unless
         # a backing file is actually used (and repro.data imports the
@@ -378,15 +374,12 @@ class InferenceEngine:
         self._delta = DeltaState(history=store, filter=TimeAwareFilter([]),
                                  last_time=store.last_time)
         info, arrays = map_columns(path)
-        if build_filter:
-            self.filter.add_facts(np.stack(
-                [arrays["s"], arrays["r"], arrays["o"], arrays["t"]],
-                axis=1))
+        self.filter.add_facts(np.stack(
+            [arrays["s"], arrays["r"], arrays["o"], arrays["t"]], axis=1))
         self.cache.clear()
         self._score_cache.clear()
         self._read_state = replace(self._read_state,
-                                   store_path=store.backing_path,
-                                   store_filter=build_filter)
+                                   store_path=store.backing_path)
         self.stats.incr("facts_ingested", info.num_facts)
         self.stats.incr("snapshots_ingested", info.num_snapshots)
         return info.num_facts

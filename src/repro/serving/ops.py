@@ -131,10 +131,14 @@ class ScoreCalibrator:
 
     def flag(self, score: float) -> Optional[bool]:
         """Whether ``score`` is anomalous (None while warming up)."""
+        return self.flags([score])[0]
+
+    def flags(self, scores) -> List[Optional[bool]]:
+        """:meth:`flag` of each score, against one threshold built once."""
         threshold = self.threshold()
         if threshold is None:
-            return None
-        return bool(float(score) < threshold)
+            return [None] * np.size(scores)
+        return [bool(float(score) < threshold) for score in np.ravel(scores)]
 
     # -- persistence ----------------------------------------------------
     def state_array(self) -> np.ndarray:
@@ -183,7 +187,7 @@ class CalibrationState:
         with engine.stats.time("calibrate"):
             scored = score_facts(engine, facts[:, 0], facts[:, 1],
                                  facts[:, 2], time=int(time))
-            flags = [self.calibrator.flag(p) for p in scored.prob]
+            flags = self.calibrator.flags(scored.prob)
             for prob, flagged in zip(scored.prob, flags):
                 self.monitor.observe_score(float(prob), anomalous=flagged)
             for label, hit in zip(scored.evidence,
@@ -239,8 +243,14 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
                          f"[0, {engine.num_entities})")
     query_time = engine.next_time if time is None else int(time)
     scores = engine.predict(subjects, relations, time=query_time)
-    probs = softmax_rows(scores)
-    fact_probs = probs[np.arange(len(objects)), objects]
+    # softmax_rows(scores)[arange, objects] with one (Q, |E|) float64
+    # buffer, shifted and exponentiated in place, and only the gathered
+    # entries divided: the same float64 operations, so bitwise the same
+    # values.
+    exp = np.array(scores, dtype=np.float64, ndmin=2)
+    exp -= exp.max(axis=1, keepdims=True)
+    np.exp(exp, out=exp)
+    fact_probs = exp[np.arange(len(objects)), objects] / exp.sum(axis=1)
     ranks = ranks_of_targets(scores, objects)
     evidence = []
     snapshots = engine.window_before(query_time)

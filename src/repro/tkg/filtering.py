@@ -6,16 +6,34 @@ only the other true objects *at the same timestamp t* are removed from the
 candidate list.  The legacy *static filtered* setting removes true objects
 at any timestamp, which leaks future information; the *raw* setting removes
 nothing.  All three are provided.
+
+Storage model
+-------------
+Both filters keep their facts as three int64 columns
+(:class:`_ObjectRuns`) over the distinct ``(t, s, r, o)`` rows in
+lexicographic order: the time, a *pair key* ``s * 2**32 + (r + 2**31)``
+and the object (the static filter files every fact under time 0).  The
+rows of one timestamp form a block with ascending pair keys, and a
+pair's objects ascend within its run.  No python object exists per
+fact:
+
+* building sorts one packed int64 key per row (``np.lexsort`` over the
+  columns when the key would overflow) and drops duplicates;
+* ``add_facts`` sorts only the k new rows and merges them into the
+  blocks of the timestamps they touch (none, for a new timestamp);
+* ``mask_indices_for_batch`` finds the query time's block and runs two
+  ``searchsorted`` calls over it for the whole query batch, then a
+  vectorized range expansion.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from collections import OrderedDict
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadruples import QuadrupleSet
+from .quadruples import FACT_DTYPE, QuadrupleSet
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -25,47 +43,219 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # per-model benchmark tables, serving evaluation loops).
 _MASK_CACHE_SIZE = 4096
 
+# Pair key layout ``s * 2**32 + (r + 2**31)``: for int32 ids it covers
+# int64 exactly and is monotone in (s, r), so one searchsorted over a
+# block's pair keys finds a pair's run.  Multiplied, not shifted: ids
+# may be negative.
+_PAIR_STRIDE = 1 << 32
+_PAIR_BIAS = 1 << 31
+_ID_MIN = int(np.iinfo(FACT_DTYPE).min)
+_ID_MAX = int(np.iinfo(FACT_DTYPE).max)
 
-def _pack_mask_indices(per_row_cols: List[np.ndarray],
-                       row_lengths: List[Tuple[int, int]]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-row column lists into packed (rows, cols) arrays."""
-    if not per_row_cols:
-        return _EMPTY, _EMPTY.copy()
-    cols = np.concatenate(per_row_cols)
-    rows = np.repeat(np.asarray([r for r, _ in row_lengths], dtype=np.int64),
-                     np.asarray([n for _, n in row_lengths], dtype=np.int64))
-    return rows, cols
+
+def _pair_keys(subjects: np.ndarray, relations: np.ndarray) -> np.ndarray:
+    return subjects * _PAIR_STRIDE + (relations + _PAIR_BIAS)
+
+
+def _key_layout(columns: Sequence[np.ndarray]
+                ) -> Optional[List[Tuple[int, int]]]:
+    """``(low, bits)`` per column of an order-preserving packed int64 row
+    key, or None when the columns' ranges need more than 63 bits."""
+    layout = [(int(col.min()), (int(col.max()) - int(col.min())).bit_length())
+              for col in columns]
+    return layout if sum(bits for _, bits in layout) <= 63 else None
+
+
+def _pack(columns: Sequence[np.ndarray],
+          layout: List[Tuple[int, int]]) -> np.ndarray:
+    """One int64 key per row; key order is the rows' lexicographic order."""
+    keys = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, (low, bits) in zip(columns, layout):
+        keys <<= bits
+        keys |= col - low
+    return keys
+
+
+def _sorted_rows(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The distinct rows of equal-length int64 ``columns`` (most
+    significant first) in lexicographic order, as new columns."""
+    if not len(columns[0]):
+        return list(columns)
+    layout = _key_layout(columns)
+    if layout is None:
+        order = np.lexsort(columns[::-1])
+        columns = [col[order] for col in columns]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = np.logical_or.reduce(
+            [col[1:] != col[:-1] for col in columns])
+        return [col[keep] for col in columns]
+    keys = np.sort(_pack(columns, layout))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    unpacked = []
+    for low, bits in reversed(layout):
+        unpacked.append((keys & ((1 << bits) - 1)) + low)
+        keys = keys >> bits
+    return unpacked[::-1]
+
+
+def _merged_rows(old: Sequence[np.ndarray], new: Sequence[np.ndarray]
+                 ) -> List[np.ndarray]:
+    """Merge sorted distinct rows ``new`` into sorted distinct rows
+    ``old`` (both as columns), dropping rows ``old`` already holds."""
+    if not len(old[0]):
+        return list(new)
+    both = [np.concatenate(pair) for pair in zip(old, new)]
+    layout = _key_layout(both)
+    if layout is None:
+        return _sorted_rows(both)
+    old_keys, new_keys = _pack(old, layout), _pack(new, layout)
+    at = np.searchsorted(old_keys, new_keys)
+    # A key past the end differs from the last old key too.
+    fresh = old_keys[np.minimum(at, len(old_keys) - 1)] != new_keys
+    return [np.insert(col, at[fresh], add[fresh])
+            for col, add in zip(old, new)]
+
+
+def _expand_runs(lo: np.ndarray, hi: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` for every position of every run
+    ``[lo[i], hi[i])``, rows ascending, positions ascending per row."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo)), counts)
+    firsts = np.cumsum(counts) - counts
+    return rows, np.arange(len(rows)) + np.repeat(lo - firsts, counts)
+
+
+class _ObjectRuns:
+    """Sorted distinct ``(t, s, r, o)`` rows as columns (see "Storage
+    model" above)."""
+
+    def __init__(self):
+        self.times = _EMPTY       # time per row, ascending
+        self.pairs = _EMPTY       # pair key per row
+        self.objects = _EMPTY     # object per row
+
+    def add(self, rows: np.ndarray) -> None:
+        """Index ``(k, 4)`` ``(s, r, o, t)`` rows; repeats are dropped."""
+        rows = np.asarray(rows).reshape(-1, 4)
+        if not len(rows):
+            return
+        s, r, o, t = (rows[:, col].astype(np.int64) for col in range(4))
+        if (min(int(s.min()), int(r.min())) < _ID_MIN
+                or max(int(s.max()), int(r.max())) > _ID_MAX):
+            raise ValueError("filter subject and relation ids must fit "
+                             f"{np.dtype(FACT_DTYPE).name}")
+        new = _sorted_rows([t, s, r, o])
+        # Only the rows at the timestamps the new rows span are unpacked
+        # and merged (none when every new timestamp is past the last
+        # one); the rows around them are copied as they are.
+        lo = int(np.searchsorted(self.times, new[0][0]))
+        hi = int(np.searchsorted(self.times, new[0][-1], side="right"))
+        pairs = self.pairs[lo:hi]
+        t, s, r, o = _merged_rows(
+            [self.times[lo:hi], pairs // _PAIR_STRIDE,
+             pairs % _PAIR_STRIDE - _PAIR_BIAS, self.objects[lo:hi]], new)
+        self.times = np.concatenate((self.times[:lo], t, self.times[hi:]))
+        self.pairs = np.concatenate(
+            (self.pairs[:lo], _pair_keys(s, r), self.pairs[hi:]))
+        self.objects = np.concatenate(
+            (self.objects[:lo], o, self.objects[hi:]))
+
+    def runs(self, time: int, subjects: np.ndarray, relations: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row range ``[lo, hi)`` of each ``(subject, relation)`` pair's
+        objects at ``time`` (empty where none is known)."""
+        first = int(np.searchsorted(self.times, time))
+        end = int(np.searchsorted(self.times, time, side="right"))
+        if first == end:
+            return _EMPTY, _EMPTY
+        keys = _pair_keys(subjects, relations)
+        pairs = self.pairs[first:end]
+        lo = np.searchsorted(pairs, keys) + first
+        hi = np.searchsorted(pairs, keys, side="right") + first
+        # Out-of-range ids would wrap the pair key onto a real pair.
+        wide = ((subjects < _ID_MIN) | (subjects > _ID_MAX)
+                | (relations < _ID_MIN) | (relations > _ID_MAX))
+        hi[wide] = lo[wide]
+        return lo, hi
+
+    def true_objects(self, time: int, s: int, r: int) -> FrozenSet[int]:
+        lo, hi = self.runs(time, np.array([s], dtype=np.int64),
+                           np.array([r], dtype=np.int64))
+        if not len(lo):
+            return frozenset()
+        return frozenset(self.objects[lo[0]:hi[0]].tolist())
+
+    def mask_indices(self, time: int, subjects: np.ndarray,
+                     relations: np.ndarray, targets: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.runs(time, subjects, relations)
+        if not len(lo):
+            return _EMPTY, _EMPTY.copy()
+        rows, at = _expand_runs(lo, hi)
+        cols = self.objects[at]
+        keep = cols != targets[rows]
+        return rows[keep], cols[keep]
+
+
+class _MaskMemo:
+    """LRU of packed mask-index batches, keyed by the normalized batch."""
+
+    def __init__(self):
+        self._cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
+            = OrderedDict()
+
+    def get(self, runs: _ObjectRuns, time: int, subjects: Sequence[int],
+            relations: Sequence[int], targets: Sequence[int]
+            ) -> Tuple[np.ndarray, np.ndarray]:
+        subjects = np.ascontiguousarray(subjects, dtype=np.int64)
+        relations = np.ascontiguousarray(relations, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        # tobytes() keying is collision-safe here only because the three
+        # arrays were just normalized to contiguous int64 (fixed width,
+        # aligned lengths); see repro.history.array_key for the general
+        # dtype/length-collision hazard.
+        key = (time, subjects.tobytes(), relations.tobytes(),
+               targets.tobytes())
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._cache.move_to_end(key)
+            return cached
+        packed = runs.mask_indices(time, subjects, relations, targets)
+        self._cache[key] = packed
+        if len(self._cache) > _MASK_CACHE_SIZE:
+            self._cache.popitem(last=False)
+        return packed
+
+    def clear(self) -> None:
+        self._cache.clear()
+
+
+def _fact_rows(facts: Iterable[QuadrupleSet]) -> np.ndarray:
+    arrays = [quad_set.array for quad_set in facts]
+    return np.concatenate(arrays) if arrays else _EMPTY.reshape(0, 4)
+
+
+def _filtered_copy(scores: np.ndarray, others: FrozenSet[int]
+                   ) -> np.ndarray:
+    if not others:
+        return scores
+    filtered = scores.copy()
+    filtered[list(others)] = -np.inf
+    return filtered
 
 
 class TimeAwareFilter:
     """Index of true objects keyed by (subject, relation, time)."""
 
     def __init__(self, facts: Iterable[QuadrupleSet]):
-        index: Dict[Tuple[int, int, int], Set[int]] = defaultdict(set)
-        for quad_set in facts:
-            arr = quad_set.array
-            for s, r, o, t in arr:
-                index[(int(s), int(r), int(t))].add(int(o))
-        self._index: Dict[Tuple[int, int, int], FrozenSet[int]] = {
-            key: frozenset(vals) for key, vals in index.items()}
-        self._arrays: Dict[Tuple[int, int, int], np.ndarray] = {}
-        self._mask_cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
-            = OrderedDict()
+        self._runs = _ObjectRuns()
+        self._runs.add(_fact_rows(facts))
+        self._mask_memo = _MaskMemo()
 
     def true_objects(self, s: int, r: int, t: int) -> FrozenSet[int]:
         """All objects o such that (s, r, o, t) is a known fact."""
-        return self._index.get((s, r, t), frozenset())
-
-    def _objects_array(self, key: Tuple[int, int, int]) -> np.ndarray:
-        """Sorted array view of one key's true objects (memoized)."""
-        cached = self._arrays.get(key)
-        if cached is None:
-            objs = self._index.get(key)
-            cached = (np.fromiter(sorted(objs), dtype=np.int64, count=len(objs))
-                      if objs else _EMPTY)
-            self._arrays[key] = cached
-        return cached
+        return self._runs.true_objects(int(t), int(s), int(r))
 
     def mask_indices_for_batch(self, subjects: Sequence[int],
                                relations: Sequence[int], time: int,
@@ -74,47 +264,17 @@ class TimeAwareFilter:
         """Packed ``(rows, cols)`` indices of competing true objects.
 
         For query row ``i`` = ``(subjects[i], relations[i], ?, time)`` the
-        column entries are ``true_objects(s_i, r_i, time) - {targets[i]}``.
-        One fancy-index assignment ``scores[rows, cols] = -inf`` then
-        applies the time-aware filter to the whole ``(Q, |E|)`` score
-        matrix without per-query copies.
+        column entries are ``true_objects(s_i, r_i, time) - {targets[i]}``,
+        ascending; rows ascend.  One fancy-index assignment
+        ``scores[rows, cols] = -inf`` then applies the time-aware filter
+        to the whole ``(Q, |E|)`` score matrix without per-query copies.
 
         The packed arrays are built once per distinct batch and memoized
         (they depend on the queries and the indexed facts, never on
         scores); callers must treat them as read-only.
         """
-        subjects = np.ascontiguousarray(subjects, dtype=np.int64)
-        relations = np.ascontiguousarray(relations, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
-        time = int(time)
-        # tobytes() keying is collision-safe here only because the three
-        # arrays were just normalized to contiguous int64 (fixed width,
-        # aligned lengths); see repro.history.array_key for the general
-        # dtype/length-collision hazard.
-        key = (time, subjects.tobytes(), relations.tobytes(),
-               targets.tobytes())
-        cached = self._mask_cache.get(key)
-        if cached is not None:
-            self._mask_cache.move_to_end(key)
-            return cached
-        per_row: List[np.ndarray] = []
-        lengths: List[Tuple[int, int]] = []
-        for row, (s, r, o) in enumerate(zip(subjects.tolist(),
-                                            relations.tolist(),
-                                            targets.tolist())):
-            cols = self._objects_array((s, r, time))
-            if not len(cols):
-                continue
-            cols = cols[cols != o]
-            if not len(cols):
-                continue
-            per_row.append(cols)
-            lengths.append((row, len(cols)))
-        packed = _pack_mask_indices(per_row, lengths)
-        self._mask_cache[key] = packed
-        if len(self._mask_cache) > _MASK_CACHE_SIZE:
-            self._mask_cache.popitem(last=False)
-        return packed
+        return self._mask_memo.get(self._runs, int(time), subjects,
+                                   relations, targets)
 
     def add_facts(self, facts) -> None:
         """Incrementally index newly revealed facts.
@@ -123,15 +283,9 @@ class TimeAwareFilter:
         filter in sync without rebuilding the whole index.  Accepts a
         :class:`QuadrupleSet` or a plain ``(k, 4)`` array.
         """
-        arr = facts.array if isinstance(facts, QuadrupleSet) else \
-            np.asarray(facts, dtype=np.int64)
-        fresh: Dict[Tuple[int, int, int], Set[int]] = defaultdict(set)
-        for s, r, o, t in arr:
-            fresh[(int(s), int(r), int(t))].add(int(o))
-        for key, objs in fresh.items():
-            self._index[key] = self._index.get(key, frozenset()) | objs
-            self._arrays.pop(key, None)
-        self._mask_cache.clear()
+        self._runs.add(facts.array if isinstance(facts, QuadrupleSet)
+                       else facts)
+        self._mask_memo.clear()
 
     def filter_scores(self, scores: np.ndarray, s: int, r: int, t: int,
                       target: int) -> np.ndarray:
@@ -139,12 +293,7 @@ class TimeAwareFilter:
 
         The gold ``target`` itself keeps its score so its rank is defined.
         """
-        others = self.true_objects(s, r, t) - {target}
-        if not others:
-            return scores
-        filtered = scores.copy()
-        filtered[list(others)] = -np.inf
-        return filtered
+        return _filtered_copy(scores, self.true_objects(s, r, t) - {target})
 
 
 class StaticFilter:
@@ -152,22 +301,20 @@ class StaticFilter:
 
     Provided for comparison with older evaluation protocols; the paper
     argues this setting is unsuitable for extrapolation (it filters out
-    facts that legitimately recur at the query time).
+    facts that legitimately recur at the query time).  Stored like the
+    time-aware filter with every fact filed under time 0.
     """
 
     def __init__(self, facts: Iterable[QuadrupleSet]):
-        index: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
-        for quad_set in facts:
-            for s, r, o, _ in quad_set.array:
-                index[(int(s), int(r))].add(int(o))
-        self._index: Dict[Tuple[int, int], FrozenSet[int]] = {
-            key: frozenset(vals) for key, vals in index.items()}
-        self._arrays: Dict[Tuple[int, int], np.ndarray] = {}
-        self._mask_cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
-            = OrderedDict()
+        rows = _fact_rows(facts)
+        self._runs = _ObjectRuns()
+        self._runs.add(np.concatenate(
+            (rows[:, :3], np.zeros((len(rows), 1), dtype=rows.dtype)),
+            axis=1))
+        self._mask_memo = _MaskMemo()
 
     def true_objects(self, s: int, r: int) -> FrozenSet[int]:
-        return self._index.get((s, r), frozenset())
+        return self._runs.true_objects(0, int(s), int(r))
 
     def mask_indices_for_batch(self, subjects: Sequence[int],
                                relations: Sequence[int], time: int,
@@ -182,47 +329,9 @@ class StaticFilter:
         distinct batch and memoized; callers must treat the returned
         arrays as read-only.
         """
-        subjects = np.ascontiguousarray(subjects, dtype=np.int64)
-        relations = np.ascontiguousarray(relations, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
-        # Safe tobytes() keying: all three arrays are contiguous int64 of
-        # equal length by the normalization above (cf. repro.history
-        # .array_key).
-        key = (subjects.tobytes(), relations.tobytes(), targets.tobytes())
-        cached = self._mask_cache.get(key)
-        if cached is not None:
-            self._mask_cache.move_to_end(key)
-            return cached
-        per_row: List[np.ndarray] = []
-        lengths: List[Tuple[int, int]] = []
-        for row, (s, r, o) in enumerate(zip(subjects.tolist(),
-                                            relations.tolist(),
-                                            targets.tolist())):
-            pair = (s, r)
-            cols = self._arrays.get(pair)
-            if cols is None:
-                objs = self._index.get(pair)
-                cols = (np.fromiter(sorted(objs), dtype=np.int64,
-                                    count=len(objs)) if objs else _EMPTY)
-                self._arrays[pair] = cols
-            if not len(cols):
-                continue
-            cols = cols[cols != o]
-            if not len(cols):
-                continue
-            per_row.append(cols)
-            lengths.append((row, len(cols)))
-        packed = _pack_mask_indices(per_row, lengths)
-        self._mask_cache[key] = packed
-        if len(self._mask_cache) > _MASK_CACHE_SIZE:
-            self._mask_cache.popitem(last=False)
-        return packed
+        return self._mask_memo.get(self._runs, 0, subjects, relations,
+                                   targets)
 
     def filter_scores(self, scores: np.ndarray, s: int, r: int,
                       target: int) -> np.ndarray:
-        others = self.true_objects(s, r) - {target}
-        if not others:
-            return scores
-        filtered = scores.copy()
-        filtered[list(others)] = -np.inf
-        return filtered
+        return _filtered_copy(scores, self.true_objects(s, r) - {target})

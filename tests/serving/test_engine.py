@@ -290,6 +290,54 @@ class TestRankQueries:
         assert engine.stats.counters["queries_ranked"] == len(targets)
         assert "rank" in engine.stats.stages
 
+    def test_store_file_then_advance_matches_oracle_filter(
+            self, logcl, dataset, tmp_path):
+        """The filter ``use_store_file`` builds from the mapped columns,
+        extended by ``advance``, ranks like the dict-of-frozensets
+        oracle over the same augmented facts, in both query phases."""
+        from repro.data import write_store_facts
+        from repro.eval.metrics import ranks_of_targets
+        from tests.tkg.reference_filter import ReferenceTimeAwareFilter
+        history = dataset.train.concat(dataset.valid)
+        path = str(tmp_path / "history.hst")
+        write_store_facts(path, history, dataset.num_entities,
+                          dataset.num_relations)
+        engine = InferenceEngine(logcl, dataset.num_entities,
+                                 dataset.num_relations, window=3)
+        engine.use_store_file(path)
+        stored_time = int(dataset.valid.timestamps()[-1])
+        t = int(dataset.test.timestamps()[0])
+        snapshot = dataset.test.at_time(t)
+        # Second answers for every (s, r) give the filter work at t, and
+        # a repeated fact must not change any rank.
+        rival = snapshot.array.copy()
+        rival[:, 2] = (rival[:, 2] + 1) % dataset.num_entities
+        ingested = np.concatenate([snapshot.array, rival,
+                                   snapshot.array[:1]])
+        engine.advance(ingested[:, :3], time=t)
+        oracle = ReferenceTimeAwareFilter(
+            [quads.with_inverses(dataset.num_relations)
+             for quads in (history, QuadrupleSet(ingested))])
+        for time, facts in ((stored_time, dataset.valid.at_time(stored_time)),
+                            (t, snapshot)):
+            arr = facts.array
+            for subjects, relations, targets in (
+                    (arr[:, 0], arr[:, 1], arr[:, 2]),
+                    (arr[:, 2], arr[:, 1] + dataset.num_relations,
+                     arr[:, 0])):
+                subjects, relations, targets = (
+                    np.ascontiguousarray(col, dtype=np.int64)
+                    for col in (subjects, relations, targets))
+                ranks = engine.rank_queries(subjects, relations, targets,
+                                            time=time)
+                scores = engine.predict(subjects, relations, time=time)
+                rows, cols = oracle.mask_indices_for_batch(
+                    subjects, relations, time, targets)
+                assert len(rows) or time != t
+                scores[rows, cols] = -np.inf
+                np.testing.assert_array_equal(
+                    ranks, ranks_of_targets(scores, targets))
+
     def test_unfiltered_ranks_raw_scores(self, logcl, dataset):
         from repro.eval.metrics import ranks_of_targets
         engine = _fresh_engine(logcl, dataset)

@@ -15,7 +15,7 @@ from repro.datasets import load_preset
 from repro.obs import DriftMonitor, ks_statistic
 from repro.serving import (CalibrationConfig, InferenceEngine,
                            ScoreCalibrator, anomaly_auc, protocol,
-                           softmax_rows)
+                           score_facts, softmax_rows)
 from repro.training import load_engine_state, save_engine_state
 
 
@@ -80,6 +80,18 @@ class TestScoreCalibrator:
         other.restore(cal.state_array())
         assert other.threshold() == cal.threshold()
         assert other.samples == cal.samples
+
+    def test_batched_flags_match_per_score_flag(self):
+        rng = np.random.default_rng(0)
+        cal = ScoreCalibrator(CalibrationConfig(
+            quantile=0.2, min_samples=8, reference_size=32))
+        scores = rng.random(12)
+        assert cal.flags(scores) == [None] * 12      # still warming up
+        cal.observe(rng.random(40))
+        # Ties with the threshold itself must read "not below".
+        scores = np.concatenate([scores, [cal.threshold()]])
+        assert cal.flags(scores) == [cal.flag(p) for p in scores]
+        assert cal.flags([]) == []
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError, match="quantile"):
@@ -155,6 +167,36 @@ class TestScoreOp:
             "facts": np.column_stack([s, r, o]).tolist(), "time": int(t)})
         got = np.array([row["prob"] for row in resp["results"]])
         np.testing.assert_allclose(got, np.round(expected, 6), atol=1e-9)
+
+    def test_fact_probabilities_bitwise_equal_softmax_rows(self, dataset):
+        engine = _preload(_engine(dataset), dataset)
+        facts = dataset.valid.array[:7]
+        t = engine.next_time
+        scored = score_facts(engine, facts[:, 0], facts[:, 1], facts[:, 2],
+                             time=t)
+        scores = engine.predict(facts[:, 0], facts[:, 1], time=t)
+        expected = softmax_rows(scores)[np.arange(len(facts)), facts[:, 2]]
+        assert scored.prob.dtype == expected.dtype
+        np.testing.assert_array_equal(scored.prob, expected)
+
+    def test_ingest_flags_match_per_fact_flags(self, dataset, monkeypatch):
+        """One threshold per snapshot flags exactly what a per-fact
+        ``flag`` against the pre-update window did."""
+        engine = _preload(_engine(dataset), dataset)
+        calibration = engine.calibration
+        before = ScoreCalibrator(calibration.config)
+        before.restore(calibration.calibrator.state_array())
+        assert before.ready
+        observed = []
+        monkeypatch.setattr(
+            calibration.monitor, "observe_score",
+            lambda value, anomalous=None: observed.append((value, anomalous)))
+        snap = dataset.valid.array
+        snap = snap[snap[:, 3] == snap[:, 3].min()]
+        engine.advance(snap[:, :3], time=int(snap[0, 3]))
+        assert len(observed) == len(snap)
+        assert [flag for _, flag in observed] \
+            == [before.flag(value) for value, _ in observed]
 
     def test_mixed_timestamps_rejected(self, dataset):
         engine = _preload(_engine(dataset), dataset, timesteps=4)
