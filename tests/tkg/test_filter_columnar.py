@@ -56,7 +56,7 @@ def _assert_same_mask(got, want):
         np.testing.assert_array_equal(got_arr, want_arr)
 
 
-def _check(initial, operations, static=True):
+def _check(initial, operations):
     sets = [QuadrupleSet(_rows(quads)) for quads in initial]
     filt, oracle = TimeAwareFilter(sets), ReferenceTimeAwareFilter(sets)
     seen = [quad for quads in initial for quad in quads]
@@ -85,7 +85,7 @@ def _check(initial, operations, static=True):
                 == oracle.true_objects(s, r, time)
     for s, r, _, t in seen:
         assert filt.true_objects(s, r, t) == oracle.true_objects(s, r, t)
-    if static and seen:
+    if seen:
         everything = [QuadrupleSet(_rows(seen))]
         static_filter = StaticFilter(everything)
         static_oracle = ReferenceStaticFilter(everything)
