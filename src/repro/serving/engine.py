@@ -81,21 +81,21 @@ def filtered_topk_rows(scores: np.ndarray, subjects: np.ndarray,
     exactly on probabilities and tie order.  With ``time_filter`` set
     (a :class:`repro.tkg.filtering.TimeAwareFilter`), entities already
     observed as answers of ``(subject, relation)`` at ``query_time`` are
-    struck to ``-inf`` per row before ranking; rows without known
-    answers are ranked in place without a copy.
+    struck to ``-inf`` before ranking: one memoized
+    ``mask_indices_for_batch`` call for the whole batch (target ``-1``,
+    which no entity id matches, so every known answer is struck) and
+    one assignment on a copy.  Without known answers the scores are
+    ranked in place without a copy.
     """
     scores = np.atleast_2d(np.asarray(scores))
-    rows: List[List[Tuple[int, float]]] = []
-    for i in range(scores.shape[0]):
-        row = scores[i]
-        if time_filter is not None:
-            known = time_filter.true_objects(int(subjects[i]),
-                                             int(relations[i]), query_time)
-            if known:
-                row = row.copy()
-                row[list(known)] = -np.inf
-        rows.append(softmax_topk(row, k))
-    return rows
+    if time_filter is not None:
+        struck_rows, struck_cols = time_filter.mask_indices_for_batch(
+            subjects, relations, query_time,
+            np.full(scores.shape[0], -1, dtype=np.int64))
+        if len(struck_rows):
+            scores = scores.copy()
+            scores[struck_rows, struck_cols] = -np.inf
+    return [softmax_topk(row, k) for row in scores]
 
 
 @dataclass(frozen=True)

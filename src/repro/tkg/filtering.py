@@ -19,8 +19,10 @@ fact:
 
 * building sorts one packed int64 key per row (``np.lexsort`` over the
   columns when the key would overflow) and drops duplicates;
-* ``add_facts`` sorts only the k new rows and merges them into the
-  blocks of the timestamps they touch (none, for a new timestamp);
+* ``add_facts`` sorts only the k new rows.  Rows past the last stored
+  timestamp (every serving ``advance``) are appended in place into
+  spare capacity; rows at stored timestamps are re-sorted together with
+  the blocks of the timestamps they span;
 * ``mask_indices_for_batch`` finds the query time's block and runs two
   ``searchsorted`` calls over it for the whole query batch, then a
   vectorized range expansion.
@@ -72,19 +74,20 @@ def _pack(columns: Sequence[np.ndarray],
     keys = np.zeros(len(columns[0]), dtype=np.int64)
     for col, (low, bits) in zip(columns, layout):
         keys <<= bits
-        keys |= col - low
+        part = col.astype(np.int64)
+        part -= low
+        keys |= part
     return keys
 
 
 def _sorted_rows(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """The distinct rows of equal-length int64 ``columns`` (most
-    significant first) in lexicographic order, as new columns."""
-    if not len(columns[0]):
-        return list(columns)
+    """The distinct rows of equal-length integer ``columns`` (most
+    significant first) in lexicographic order, as new int64 columns."""
     layout = _key_layout(columns)
     if layout is None:
         order = np.lexsort(columns[::-1])
-        columns = [col[order] for col in columns]
+        columns = [col[order].astype(np.int64, copy=False)
+                   for col in columns]
         keep = np.ones(len(order), dtype=bool)
         keep[1:] = np.logical_or.reduce(
             [col[1:] != col[:-1] for col in columns])
@@ -96,24 +99,6 @@ def _sorted_rows(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
         unpacked.append((keys & ((1 << bits) - 1)) + low)
         keys = keys >> bits
     return unpacked[::-1]
-
-
-def _merged_rows(old: Sequence[np.ndarray], new: Sequence[np.ndarray]
-                 ) -> List[np.ndarray]:
-    """Merge sorted distinct rows ``new`` into sorted distinct rows
-    ``old`` (both as columns), dropping rows ``old`` already holds."""
-    if not len(old[0]):
-        return list(new)
-    both = [np.concatenate(pair) for pair in zip(old, new)]
-    layout = _key_layout(both)
-    if layout is None:
-        return _sorted_rows(both)
-    old_keys, new_keys = _pack(old, layout), _pack(new, layout)
-    at = np.searchsorted(old_keys, new_keys)
-    # A key past the end differs from the last old key too.
-    fresh = old_keys[np.minimum(at, len(old_keys) - 1)] != new_keys
-    return [np.insert(col, at[fresh], add[fresh])
-            for col, add in zip(old, new)]
 
 
 def _expand_runs(lo: np.ndarray, hi: np.ndarray
@@ -128,38 +113,60 @@ def _expand_runs(lo: np.ndarray, hi: np.ndarray
 
 class _ObjectRuns:
     """Sorted distinct ``(t, s, r, o)`` rows as columns (see "Storage
-    model" above)."""
+    model" above).
+
+    The columns are views of the first ``size`` rows of one ``(3,
+    capacity)`` buffer whose capacity at least doubles when it fills, so
+    a run of appends past the last timestamp costs amortized O(k), not
+    O(stored rows).
+    """
 
     def __init__(self):
-        self.times = _EMPTY       # time per row, ascending
-        self.pairs = _EMPTY       # pair key per row
-        self.objects = _EMPTY     # object per row
+        self._buffer = np.empty((3, 0), dtype=np.int64)
+        self._set_size(0)
+
+    def _set_size(self, size: int) -> None:
+        self.times, self.pairs, self.objects = self._buffer[:, :size]
 
     def add(self, rows: np.ndarray) -> None:
         """Index ``(k, 4)`` ``(s, r, o, t)`` rows; repeats are dropped."""
         rows = np.asarray(rows).reshape(-1, 4)
         if not len(rows):
             return
-        s, r, o, t = (rows[:, col].astype(np.int64) for col in range(4))
+        s, r, o, t = (rows[:, col] for col in range(4))
         if (min(int(s.min()), int(r.min())) < _ID_MIN
                 or max(int(s.max()), int(r.max())) > _ID_MAX):
             raise ValueError("filter subject and relation ids must fit "
                              f"{np.dtype(FACT_DTYPE).name}")
-        new = _sorted_rows([t, s, r, o])
-        # Only the rows at the timestamps the new rows span are unpacked
-        # and merged (none when every new timestamp is past the last
-        # one); the rows around them are copied as they are.
-        lo = int(np.searchsorted(self.times, new[0][0]))
-        hi = int(np.searchsorted(self.times, new[0][-1], side="right"))
-        pairs = self.pairs[lo:hi]
-        t, s, r, o = _merged_rows(
-            [self.times[lo:hi], pairs // _PAIR_STRIDE,
-             pairs % _PAIR_STRIDE - _PAIR_BIAS, self.objects[lo:hi]], new)
-        self.times = np.concatenate((self.times[:lo], t, self.times[hi:]))
-        self.pairs = np.concatenate(
-            (self.pairs[:lo], _pair_keys(s, r), self.pairs[hi:]))
-        self.objects = np.concatenate(
-            (self.objects[:lo], o, self.objects[hi:]))
+        size = len(self.times)
+        t, s, r, o = _sorted_rows([t, s, r, o])
+        lo = int(np.searchsorted(self.times, t[0]))
+        hi = size
+        if lo < size:
+            # The new rows share timestamps with stored ones: re-sort
+            # the stored rows of the timestamps they span together with
+            # them (the rows around that window are kept as they are).
+            hi = int(np.searchsorted(self.times, t[-1], side="right"))
+            stored = self.pairs[lo:hi]
+            t, s, r, o = _sorted_rows([
+                np.concatenate(pair) for pair in zip(
+                    (self.times[lo:hi], stored // _PAIR_STRIDE,
+                     stored % _PAIR_STRIDE - _PAIR_BIAS,
+                     self.objects[lo:hi]), (t, s, r, o))])
+        pairs = _pair_keys(s, r)
+        end = lo + len(t)
+        needed = end + size - hi
+        capacity = self._buffer.shape[1]
+        if needed > capacity or hi < size:
+            buffer = np.empty((3, max(needed, 2 * capacity, 1024)),
+                              dtype=np.int64)
+            buffer[:, :lo] = self._buffer[:, :lo]
+            buffer[:, end:needed] = self._buffer[:, hi:size]
+            self._buffer = buffer
+        self._buffer[0, lo:end] = t
+        self._buffer[1, lo:end] = pairs
+        self._buffer[2, lo:end] = o
+        self._set_size(needed)
 
     def runs(self, time: int, subjects: np.ndarray, relations: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray]:
@@ -180,11 +187,17 @@ class _ObjectRuns:
         return lo, hi
 
     def true_objects(self, time: int, s: int, r: int) -> FrozenSet[int]:
-        lo, hi = self.runs(time, np.array([s], dtype=np.int64),
-                           np.array([r], dtype=np.int64))
-        if not len(lo):
+        # :meth:`runs` for one pair on python scalars: no temporary
+        # arrays on the per-query paths (``filter_scores``).
+        if not (_ID_MIN <= s <= _ID_MAX and _ID_MIN <= r <= _ID_MAX):
             return frozenset()
-        return frozenset(self.objects[lo[0]:hi[0]].tolist())
+        first = int(self.times.searchsorted(time))
+        pairs = self.pairs[first:int(self.times.searchsorted(
+            time, side="right"))]
+        key = s * _PAIR_STRIDE + (r + _PAIR_BIAS)
+        lo = first + int(pairs.searchsorted(key))
+        hi = first + int(pairs.searchsorted(key, side="right"))
+        return frozenset(self.objects[lo:hi].tolist())
 
     def mask_indices(self, time: int, subjects: np.ndarray,
                      relations: np.ndarray, targets: np.ndarray

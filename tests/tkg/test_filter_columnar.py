@@ -139,3 +139,32 @@ def test_empty_filter_and_empty_batch():
 def test_ids_past_int32_rejected():
     with pytest.raises(ValueError, match="fit int32"):
         TimeAwareFilter([]).add_facts(_rows([(2 ** 31, 0, 1, 0)]))
+
+
+def test_growth_past_capacity_matches_oracle():
+    # A serving-style stream of snapshots appended past the last time,
+    # then adds at a stored middle time and at the last time; enough
+    # rows that the column buffer regrows several times.
+    rng = np.random.default_rng(0)
+
+    def snapshot(time, size):
+        rows = rng.integers(0, 12, size=(size, 4))
+        rows[:, 3] = time
+        return rows
+
+    batches = [snapshot(0, 300)]
+    filt = TimeAwareFilter([QuadrupleSet(batches[0])])
+    oracle = ReferenceTimeAwareFilter([QuadrupleSet(batches[0])])
+    batches += [snapshot(t, 200) for t in range(1, 30)]
+    batches += [snapshot(7, 150), snapshot(29, 150)]
+    for rows in batches[1:]:
+        filt.add_facts(rows)
+        oracle.add_facts(rows)
+    subjects, relations, targets = rng.integers(0, 12, size=(3, 64))
+    for time in range(-1, 31):
+        _assert_same_mask(
+            filt.mask_indices_for_batch(subjects, relations, time, targets),
+            oracle.mask_indices_for_batch(subjects, relations, time,
+                                          targets))
+    for s, r, _, t in np.concatenate(batches).tolist():
+        assert filt.true_objects(s, r, t) == oracle.true_objects(s, r, t)
