@@ -156,13 +156,15 @@ class _ObjectRuns:
         pairs = _pair_keys(s, r)
         end = lo + len(t)
         needed = end + size - hi
-        capacity = self._buffer.shape[1]
-        if needed > capacity or hi < size:
-            buffer = np.empty((3, max(needed, 2 * capacity, 1024)),
+        buffer = self._buffer
+        if needed > buffer.shape[1]:
+            buffer = np.empty((3, max(needed, 2 * buffer.shape[1], 1024)),
                               dtype=np.int64)
             buffer[:, :lo] = self._buffer[:, :lo]
-            buffer[:, end:needed] = self._buffer[:, hi:size]
-            self._buffer = buffer
+        # Shifts the rows past the window right; numpy copies through a
+        # temporary when the two ranges overlap.
+        buffer[:, end:needed] = self._buffer[:, hi:size]
+        self._buffer = buffer
         self._buffer[0, lo:end] = t
         self._buffer[1, lo:end] = pairs
         self._buffer[2, lo:end] = o

@@ -168,3 +168,15 @@ def test_growth_past_capacity_matches_oracle():
                                           targets))
     for s, r, _, t in np.concatenate(batches).tolist():
         assert filt.true_objects(s, r, t) == oracle.true_objects(s, r, t)
+
+
+def test_adds_at_a_stored_time_grow_capacity_only_when_full():
+    filt = TimeAwareFilter([QuadrupleSet(_rows([(0, 0, o, t)
+                                                for o in range(4)
+                                                for t in range(3)]))])
+    for o in range(12):
+        filt.add_facts(_rows([(1, 0, o, 1)]))
+    assert filt.true_objects(1, 0, 1) == frozenset(range(12))
+    assert filt.true_objects(0, 0, 2) == frozenset(range(4))
+    # The columns are views of the first rows of one buffer.
+    assert filt._runs.times.base.shape == (3, 1024)
