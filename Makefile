@@ -2,7 +2,7 @@
 
 .PHONY: install test test-fast bench bench-table3 serve-bench \
 	serve-daemon-bench serve-replica-bench eval-bench history-bench \
-	train-telemetry-bench parallel-bench data-bench perf-bench \
+	train-telemetry-bench parallel-bench data-bench \
 	anomaly-bench perf-record perf-compare profile-train trace-demo \
 	experiments clean-cache docs-test lint lint-private lint-docstrings \
 	lint-dtype docs-linkcheck
@@ -34,7 +34,7 @@ serve-daemon-bench:  ## daemon under 8 open-loop clients: QPS, p50/p99, shedding
 serve-replica-bench:  ## replica-set router at 1/2/4 replicas: QPS, p50/p99, shared-store proof
 	pytest benchmarks/test_serving_replicas.py --benchmark-only -s
 
-eval-bench:  ## filtered-ranking throughput: batched kernel vs per-query path
+eval-bench:  ## filtered-ranking throughput: batched kernel vs a per-query loop
 	pytest benchmarks/test_eval_throughput.py --benchmark-only -s
 
 history-bench:  ## history layer: subgraph-cache hit rate + epoch-rewind speedup
@@ -48,9 +48,6 @@ parallel-bench:  ## sharded-evaluation parity (always) + speedup (>=4 cores)
 
 data-bench:  ## store-file capacity: ingest facts/s, bytes/fact, eval QPS
 	pytest benchmarks/test_data_capacity.py --benchmark-only -s
-
-perf-bench:  ## speed pass: >=3x train/eval vs the float64 seed path + parity
-	pytest benchmarks/test_perf_pass.py -s
 
 anomaly-bench:  ## calibrated score op as anomaly detector: ROC-AUC >= 0.85
 	pytest benchmarks/test_anomaly_roc.py --benchmark-only -s

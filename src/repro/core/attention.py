@@ -23,8 +23,7 @@ import numpy as np
 from ..nn import Module, Parameter, Tensor
 from ..nn import init as weight_init
 from ..nn.ops import (concat, fused_global_gate, fused_local_attention,
-                      fused_query_key, segment_mean, softmax, stack)
-from ..perf import FLAGS
+                      fused_query_key, softmax, stack)
 
 
 class QueryKeyBuilder(Module):
@@ -44,18 +43,8 @@ class QueryKeyBuilder(Module):
     def forward(self, base_entities: Tensor, relations: Tensor,
                 query_subjects: np.ndarray,
                 query_relations: np.ndarray) -> Tensor:
-        num_entities = base_entities.shape[0]
-        if FLAGS.fused_kernels:
-            return fused_query_key(base_entities, relations, query_subjects,
-                                   query_relations, self.w4, self.dim)
-        from ..nn.ops import index_select
-        if len(query_subjects) > 0:
-            rel_rows = index_select(relations, query_relations)   # (Q, d)
-            rel_context = segment_mean(rel_rows, query_subjects, num_entities)
-        else:
-            rel_context = Tensor(np.zeros((num_entities, self.dim),
-                                          dtype=base_entities.data.dtype))
-        return concat([rel_context, base_entities], axis=-1) @ self.w4
+        return fused_query_key(base_entities, relations, query_subjects,
+                               query_relations, self.w4, self.dim)
 
 
 class LocalEntityAwareAttention(Module):
@@ -86,7 +75,7 @@ class LocalEntityAwareAttention(Module):
                 query_key: Tensor) -> Tensor:
         if not snapshot_aggs:
             return evolved
-        if FLAGS.fused_kernels and self.score == "additive":
+        if self.score == "additive":
             return fused_local_attention(evolved, list(snapshot_aggs),
                                          query_key, self.w5)
         scores = [self._score(agg, query_key) for agg in snapshot_aggs]
@@ -112,7 +101,4 @@ class GlobalEntityAwareAttention(Module):
         self.w6 = Parameter(weight_init.xavier_uniform((dim, 1), rng))
 
     def forward(self, global_agg: Tensor, query_key: Tensor) -> Tensor:
-        if FLAGS.fused_kernels:
-            return fused_global_gate(global_agg, query_key, self.w6)
-        beta = ((global_agg + query_key) @ self.w6).sigmoid()  # (N, 1)
-        return global_agg * beta
+        return fused_global_gate(global_agg, query_key, self.w6)

@@ -17,14 +17,12 @@ acts as a negative.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..nn import MLP, Module, Tensor
-from ..nn.functional import info_nce
-from ..nn.ops import (concat, fused_query_contrast, index_select,
-                      l2_normalize)
+from ..nn.ops import fused_query_contrast
 
 VALID_STRATEGIES = ("lg", "gl", "ll", "gg")
 
@@ -49,32 +47,18 @@ class QueryContrastModule(Module):
         self.local_head = MLP([2 * dim, dim, proj], rng)
         self.global_head = MLP([2 * dim, dim, proj], rng)
 
-    # ------------------------------------------------------------------
-    def project_local(self, entity_agg: Tensor, relations: Tensor,
-                      query_subjects: np.ndarray,
-                      query_relations: np.ndarray) -> Tensor:
-        """z_t (Eq. 15): unit-sphere embedding of each local query view."""
-        features = concat([index_select(entity_agg, query_subjects),
-                           index_select(relations, query_relations)], axis=-1)
-        return l2_normalize(self.local_head(features))
+    def forward(self, local_agg: Tensor, relations: Tensor,
+                global_agg: Tensor, relations0: Tensor,
+                query_subjects: np.ndarray,
+                query_relations: np.ndarray) -> Tensor:
+        """L_cl for one query batch (Eq. 15-17) as one autodiff node.
 
-    def project_global(self, entity_agg: Tensor, relations0: Tensor,
-                       query_subjects: np.ndarray,
-                       query_relations: np.ndarray) -> Tensor:
-        """z_g (Eq. 16): unit-sphere embedding of each global query view."""
-        features = concat([index_select(entity_agg, query_subjects),
-                           index_select(relations0, query_relations)], axis=-1)
-        return l2_normalize(self.global_head(features))
-
-    def fused_loss(self, local_agg: Tensor, relations: Tensor,
-                   global_agg: Tensor, relations0: Tensor,
-                   query_subjects: np.ndarray,
-                   query_relations: np.ndarray) -> Tensor:
-        """project_local + project_global + forward as one autodiff node.
-
-        Numerically identical to the three-call path (the fused op
-        replays the same expressions); used by the model's training loss
-        when ``repro.perf.FLAGS.fused_kernels`` is on.
+        The local view of query ``(s, r)`` is ``[local_agg[s] ||
+        relations[r]]``, the global view ``[global_agg[s] ||
+        relations0[r]]``; each goes through its projection head onto
+        the unit sphere, and the enabled InfoNCE strategies are
+        averaged.  A batch of fewer than two queries has no negatives
+        and yields a zero loss.
         """
         local_layers = self.local_head.net.layers
         global_layers = self.global_head.net.layers
@@ -86,21 +70,3 @@ class QueryContrastModule(Module):
             (global_layers[0].weight, global_layers[0].bias,
              global_layers[2].weight, global_layers[2].bias),
             self.temperature, self.strategies)
-
-    def forward(self, z_local: Tensor, z_global: Tensor) -> Tensor:
-        """Average of the enabled InfoNCE strategies (Eq. 17)."""
-        if z_local.shape[0] < 2:
-            # A single query has no negatives; contrast is undefined.
-            return Tensor(np.zeros((), dtype=z_local.data.dtype))
-        pairs = {
-            "lg": (z_local, z_global),
-            "gl": (z_global, z_local),
-            "ll": (z_local, z_local),
-            "gg": (z_global, z_global),
-        }
-        total = None
-        for name in self.strategies:
-            anchor, candidates = pairs[name]
-            loss = info_nce(anchor, candidates, self.temperature)
-            total = loss if total is None else total + loss
-        return total * (1.0 / len(self.strategies))

@@ -13,7 +13,6 @@ import numpy as np
 from ..nn import Linear, Module, Parameter, Tensor
 from ..nn import init as weight_init
 from ..nn.ops import conv1d_same, dropout, fused_convtranse, stack
-from ..perf import FLAGS
 
 
 class ConvTransE(Module):
@@ -50,13 +49,11 @@ class ConvTransE(Module):
     def forward(self, subjects: Tensor, relations: Tensor,
                 candidates: Tensor) -> Tensor:
         """Raw scores (Q, |E|): query features dotted with candidates."""
-        if FLAGS.fused_kernels:
-            return fused_convtranse(
-                subjects, relations, candidates, self.conv_weight,
-                self.conv_bias, self.fc.weight, self.fc.bias,
-                training=self.training, dropout_rate=self.dropout_rate,
-                rng=self._rng)
-        return self.transform(subjects, relations) @ candidates.T
+        return fused_convtranse(
+            subjects, relations, candidates, self.conv_weight,
+            self.conv_bias, self.fc.weight, self.fc.bias,
+            training=self.training, dropout_rate=self.dropout_rate,
+            rng=self._rng)
 
     def forward_indexed(self, entity_matrix: Tensor, relation_matrix: Tensor,
                         candidates: Tensor, subject_index: np.ndarray,

@@ -19,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import GRUCell, Module, Tensor, TimeGate
-from ..nn.ops import fused_time_gate_evolve, index_select, segment_mean
-from ..perf import FLAGS
+from ..nn.ops import fused_time_gate_evolve, index_select
 from ..tkg.dataset import Snapshot
 from .attention import LocalEntityAwareAttention, QueryKeyBuilder
 from .time_encoding import TimeEncoding
@@ -83,15 +82,9 @@ class LocalRecurrentEncoder(Module):
     def _evolve_relations(self, relations: Tensor, entities: Tensor,
                           snapshot: Snapshot) -> Tensor:
         """Eq. 6-8: pool r-connected entities, then time-gate the update."""
-        if FLAGS.fused_kernels:
-            return fused_time_gate_evolve(
-                entities, relations, snapshot.src, snapshot.rel,
-                self.time_gate.weight, self.time_gate.bias)
-        # mean of embeddings of entities connected to each relation at t
-        pooled = segment_mean(index_select(entities, snapshot.src),
-                              snapshot.rel, relations.shape[0])
-        candidate = pooled + relations
-        return self.time_gate(candidate, relations)
+        return fused_time_gate_evolve(
+            entities, relations, snapshot.src, snapshot.rel,
+            self.time_gate.weight, self.time_gate.bias)
 
     # -- incremental state API -----------------------------------------
     def initial_state(self, query_time: int, entities0: Tensor,
@@ -128,10 +121,9 @@ class LocalRecurrentEncoder(Module):
         The loop over snapshots is inherently sequential — Eq. 5 feeds
         each GRU step the previous step's output — so the window cannot
         be batched into one segment-keyed pass without changing the
-        recurrence.  The speed lever is instead *inside* each step:
-        with ``FLAGS.fused_kernels`` a step is three fused autodiff
-        nodes (relational pass, GRU, time-gated evolve) plus attention,
-        instead of ~40 generic ops.
+        recurrence.  The speed lever is instead *inside* each step: a
+        step is three fused autodiff nodes (relational pass, GRU,
+        time-gated evolve) plus attention, instead of ~40 generic ops.
         """
         state = self.initial_state(query_time, entities0, relations0)
         for snapshot in snapshots:

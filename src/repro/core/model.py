@@ -37,7 +37,7 @@ from ..interface import ExtrapolationModel
 from ..nn import Embedding, Tensor, no_grad
 from ..nn.dtypes import default_float
 from ..nn.functional import multilabel_soft_loss
-from ..nn.ops import fused_blend, index_select, l2_normalize
+from ..nn.ops import fused_blend, l2_normalize
 from ..nn.tensor import is_grad_enabled
 from ..utils.seeding import spawn_rngs
 from .contrast import VALID_STRATEGIES, QueryContrastModule
@@ -261,11 +261,7 @@ class LogCL(ExtrapolationModel):
         global_entities = self._normalize(
             glob.entities if glob is not None else None)
         if local_entities is not None and global_entities is not None:
-            from ..perf import FLAGS
-            if FLAGS.fused_kernels:
-                fused = fused_blend(local_entities, global_entities, lam)
-            else:
-                fused = local_entities * lam + global_entities * (1.0 - lam)
+            fused = fused_blend(local_entities, global_entities, lam)
             rel_matrix = local.relations
         elif local_entities is not None:
             fused = local_entities
@@ -302,15 +298,9 @@ class LogCL(ExtrapolationModel):
     def score_queries(self, encoded: Dict, subjects: np.ndarray,
                       relations: np.ndarray) -> Tensor:
         """Raw logits (Q, |E|) for the given queries (Eq. 18)."""
-        from ..perf import FLAGS
-        subject_rows = encoded.get("subject_rows", subjects)
-        if FLAGS.fused_kernels:
-            return self.decoder.forward_indexed(
-                encoded["fused"], encoded["relations"],
-                encoded["candidates"], subject_rows, relations)
-        subj_emb = index_select(encoded["fused"], subject_rows)
-        rel_emb = index_select(encoded["relations"], relations)
-        return self.decoder(subj_emb, rel_emb, encoded["candidates"])
+        return self.decoder.forward_indexed(
+            encoded["fused"], encoded["relations"], encoded["candidates"],
+            encoded.get("subject_rows", subjects), relations)
 
     def contrast_loss(self, encoded: Dict, subjects: np.ndarray,
                       relations: np.ndarray) -> Optional[Tensor]:
@@ -320,16 +310,9 @@ class LogCL(ExtrapolationModel):
         local, glob = encoded["local"], encoded["global"]
         if local is None or glob is None or local.last_agg is None:
             return None
-        from ..perf import FLAGS
-        if FLAGS.fused_kernels:
-            return self.contrast.fused_loss(
-                local.last_agg, encoded["relations"], glob.raw_aggregate,
-                encoded["relations0"], subjects, relations)
-        z_local = self.contrast.project_local(
-            local.last_agg, encoded["relations"], subjects, relations)
-        z_global = self.contrast.project_global(
-            glob.raw_aggregate, encoded["relations0"], subjects, relations)
-        return self.contrast(z_local, z_global)
+        return self.contrast(local.last_agg, encoded["relations"],
+                             glob.raw_aggregate, encoded["relations0"],
+                             subjects, relations)
 
     # ------------------------------------------------------------------
     def loss(self, snapshots, query_time: int, subjects: np.ndarray,
@@ -386,26 +369,16 @@ class LogCL(ExtrapolationModel):
 
 def _multihot_labels(subjects: np.ndarray, relations: np.ndarray,
                      objects: np.ndarray, num_entities: int) -> np.ndarray:
-    """Eq. 20 labels: row q marks every true object of (s_q, r_q, t)."""
-    from ..perf import FLAGS
-    if FLAGS.fused_kernels:
-        # Group queries by (s, r) pair, mark each group's objects once,
-        # then gather rows — no per-query python loop.  Placement is
-        # identical to the dict path (same pairs, same objects).
-        pairs = subjects.astype(np.int64) * (np.int64(relations.max()) + 1
-                                             if len(relations) else 1) \
-            + relations.astype(np.int64)
-        _, group, inverse = np.unique(pairs, return_index=True,
-                                      return_inverse=True)[0:3]
-        num_groups = len(group)
-        group_labels = np.zeros((num_groups, num_entities),
-                                dtype=default_float())
-        group_labels[inverse, objects.astype(np.int64)] = 1.0
-        return group_labels[inverse]
-    labels = np.zeros((len(subjects), num_entities), dtype=np.float32)
-    by_query: Dict[Tuple[int, int], List[int]] = {}
-    for s, r, o in zip(subjects, relations, objects):
-        by_query.setdefault((int(s), int(r)), []).append(int(o))
-    for row, (s, r) in enumerate(zip(subjects, relations)):
-        labels[row, by_query[(int(s), int(r))]] = 1.0
-    return labels
+    """Eq. 20 labels: row q marks every true object of (s_q, r_q, t).
+
+    Groups queries by (s, r) pair, marks each group's objects once,
+    then gathers rows — no per-query python loop.
+    """
+    pairs = subjects.astype(np.int64) * (np.int64(relations.max()) + 1
+                                         if len(relations) else 1) \
+        + relations.astype(np.int64)
+    _, group, inverse = np.unique(pairs, return_index=True,
+                                  return_inverse=True)[0:3]
+    group_labels = np.zeros((len(group), num_entities), dtype=default_float())
+    group_labels[inverse, objects.astype(np.int64)] = 1.0
+    return group_labels[inverse]

@@ -17,8 +17,7 @@ import numpy as np
 from ..nn import Module, Parameter, Tensor
 from ..nn import init as weight_init
 from ..nn.dtypes import default_float
-from ..nn.ops import concat, fused_time_fuse
-from ..perf import FLAGS
+from ..nn.ops import fused_time_fuse
 
 
 class TimeEncoding(Module):
@@ -52,9 +51,4 @@ class TimeEncoding(Module):
 
     def forward(self, h: Tensor, interval: int) -> Tensor:
         """Fuse phi(t_q - t_i) into every row of the entity matrix ``h``."""
-        if FLAGS.fused_kernels:
-            return fused_time_fuse(h, self.w_t, self.b_t, self.w_fuse,
-                                   interval)
-        phi = self.encode_interval(interval)                 # (time_dim,)
-        tiled = phi.reshape(1, self.time_dim).expand(h.shape[0], self.time_dim)
-        return concat([h, tiled], axis=-1) @ self.w_fuse
+        return fused_time_fuse(h, self.w_t, self.b_t, self.w_fuse, interval)

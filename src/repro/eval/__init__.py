@@ -4,9 +4,9 @@ from .heuristics import FrequencyHeuristic, RecencyHeuristic
 from .metrics import (RankingAccumulator, rank_of_target, ranks_of_targets,
                       softmax_topk)
 from .protocol import FILTER_SETTINGS, evaluate, format_metric_row
-from .ranking import batch_ranks_per_query, batch_ranks_vectorized
+from .ranking import batch_ranks_vectorized
 
 __all__ = ["RankingAccumulator", "rank_of_target", "ranks_of_targets",
            "softmax_topk", "evaluate", "format_metric_row",
            "FILTER_SETTINGS", "FrequencyHeuristic", "RecencyHeuristic",
-           "batch_ranks_vectorized", "batch_ranks_per_query"]
+           "batch_ranks_vectorized"]

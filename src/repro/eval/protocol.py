@@ -16,20 +16,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..interface import ExtrapolationModel
 from ..nn.tensor import no_grad
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..perf import FLAGS
 from ..tkg.dataset import TKGDataset
 from ..tkg.filtering import StaticFilter, TimeAwareFilter
 from ..training.context import (PHASES, HistoryContext,
                                 iter_timestep_batches)
 from .metrics import RankingAccumulator
-from .ranking import batch_ranks_per_query, batch_ranks_vectorized
+from .ranking import batch_ranks_vectorized
 
 FILTER_SETTINGS = ("time-aware", "raw", "static")
-
-# Backwards-compatible aliases: the kernels moved to repro.eval.ranking
-# so the online protocol can share them without an import cycle.
-_batch_ranks_vectorized = batch_ranks_vectorized
-_batch_ranks_per_query = batch_ranks_per_query
 
 # Dataset-keyed memo of evaluation filters.  Building one augments every
 # split with inverses and sorts all of their facts (tens of milliseconds
@@ -39,7 +33,7 @@ _batch_ranks_per_query = batch_ranks_per_query
 # hold a strong reference to the dataset so an ``id()`` can never be
 # recycled while its entry is alive; ``evaluate``-built filters are
 # read-only (nothing calls ``add_facts`` on them), which is what makes
-# sharing safe.  Gated by ``FLAGS.filter_cache``.
+# sharing safe.
 _FILTER_MEMO: "OrderedDict[Tuple[int, str], tuple]" = OrderedDict()
 _FILTER_MEMO_LIMIT = 8
 
@@ -54,11 +48,10 @@ def _build_filters(dataset: TKGDataset, filter_setting: str
     if filter_setting == "raw":
         return None, None
     key = (id(dataset), filter_setting)
-    if FLAGS.filter_cache:
-        entry = _FILTER_MEMO.get(key)
-        if entry is not None and entry[0] is dataset:
-            _FILTER_MEMO.move_to_end(key)
-            return entry[1], entry[2]
+    entry = _FILTER_MEMO.get(key)
+    if entry is not None and entry[0] is dataset:
+        _FILTER_MEMO.move_to_end(key)
+        return entry[1], entry[2]
     # Filters must see the inverse-augmented facts of every split so
     # that inverse-phase queries are filtered symmetrically.
     augmented = [quads.with_inverses(dataset.num_relations)
@@ -67,10 +60,9 @@ def _build_filters(dataset: TKGDataset, filter_setting: str
                    if filter_setting == "time-aware" else None)
     static_filter = (StaticFilter(augmented)
                      if filter_setting == "static" else None)
-    if FLAGS.filter_cache:
-        _FILTER_MEMO[key] = (dataset, time_filter, static_filter)
-        if len(_FILTER_MEMO) > _FILTER_MEMO_LIMIT:
-            _FILTER_MEMO.popitem(last=False)
+    _FILTER_MEMO[key] = (dataset, time_filter, static_filter)
+    if len(_FILTER_MEMO) > _FILTER_MEMO_LIMIT:
+        _FILTER_MEMO.popitem(last=False)
     return time_filter, static_filter
 
 
@@ -84,8 +76,7 @@ def reuse_context_enabled(model) -> bool:
     the serial protocol draws fresh noise per batch, so phases must not
     share one perturbed context.
     """
-    return (FLAGS.reuse_eval_context
-            and hasattr(model, "precompute_context")
+    return (hasattr(model, "precompute_context")
             and hasattr(model, "encode_queries")
             and hasattr(model, "score_queries")
             and getattr(model, "input_noise_std", 0.0) <= 0.0)
@@ -134,7 +125,6 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
              filter_setting: str = "time-aware",
              phases: Sequence[str] = PHASES,
              records: Optional[List[QueryRecord]] = None,
-             batched: bool = True,
              workers: int = 1,
              telemetry: Telemetry = NULL_TELEMETRY) -> Dict[str, float]:
     """Evaluate ``model`` on one split and return the paper's metric row.
@@ -159,10 +149,6 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
         Optional list that, when provided, receives one
         :class:`QueryRecord` per evaluated query — the input to
         per-pattern analysis (:mod:`repro.analysis`).
-    batched:
-        Use the vectorized filter+rank kernel (default).  ``False``
-        selects the legacy per-query path; both produce bitwise-identical
-        ranks (asserted by the parity tests).
     workers:
         Shard the pass across this many forked worker processes
         (:mod:`repro.parallel`).  Metric rows are bitwise-identical to
@@ -199,15 +185,12 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
         batches = list(iter_timestep_batches(dataset, split, context,
                                              phases=phases))
         all_ranks = sharded_ranks(model, batches, time_filter, static_filter,
-                                  batched=batched, workers=workers,
-                                  telemetry=telemetry)
+                                  workers=workers, telemetry=telemetry)
         for batch, ranks in zip(batches, all_ranks):
             accumulator.add_ranks(ranks)
             if records is not None:
                 _record_batch(records, batch, ranks)
     else:
-        rank_batch = (batch_ranks_vectorized if batched
-                      else batch_ranks_per_query)
         # Forward and inverse batches of one timestamp share the
         # query-independent encoder context (window walk + base
         # embeddings) instead of recomputing it per phase.
@@ -219,7 +202,8 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
                           if context_memo is not None
                           else model.predict_on(batch))
             with telemetry.span("rank"):
-                ranks = rank_batch(scores, batch, time_filter, static_filter)
+                ranks = batch_ranks_vectorized(scores, batch, time_filter,
+                                               static_filter)
             accumulator.add_ranks(ranks)
             telemetry.incr("queries_evaluated", len(batch))
             if records is not None:

@@ -1,11 +1,10 @@
-"""Filtered-ranking kernels shared by the offline and online protocols.
+"""Filtered-ranking kernel shared by the offline and online protocols.
 
-Both kernels take one timestamp batch's ``(Q, |E|)`` score matrix and
-produce the 1-based mean-tie filtered ranks of the gold objects; they
-agree bitwise (asserted by the parity tests).  They only read the
-``subjects`` / ``relations`` / ``objects`` / ``time`` attributes of the
-batch, so any :class:`repro.training.context.TimestepBatch`-shaped
-object works.
+The kernel takes one timestamp batch's ``(Q, |E|)`` score matrix and
+produces the 1-based mean-tie filtered ranks of the gold objects.  It
+only reads the ``subjects`` / ``relations`` / ``objects`` / ``time``
+attributes of the batch, so any
+:class:`repro.training.context.TimestepBatch`-shaped object works.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..tkg.filtering import StaticFilter, TimeAwareFilter
-from .metrics import rank_of_target, ranks_of_targets
+from .metrics import ranks_of_targets
 
 
 def batch_ranks_vectorized(scores: np.ndarray, batch,
@@ -37,21 +36,3 @@ def batch_ranks_vectorized(scores: np.ndarray, batch,
             scores[rows, cols] = -np.inf
     return ranks_of_targets(scores, batch.objects)
 
-
-def batch_ranks_per_query(scores: np.ndarray, batch,
-                          time_filter: Optional[TimeAwareFilter],
-                          static_filter: Optional[StaticFilter] = None
-                          ) -> np.ndarray:
-    """Legacy reference path: one score copy + scalar rank per query."""
-    ranks = np.empty(len(batch), dtype=float)
-    for row, (s, r, o) in enumerate(zip(batch.subjects, batch.relations,
-                                        batch.objects)):
-        query_scores = scores[row]
-        if time_filter is not None:
-            query_scores = time_filter.filter_scores(
-                query_scores, int(s), int(r), batch.time, int(o))
-        elif static_filter is not None:
-            query_scores = static_filter.filter_scores(
-                query_scores, int(s), int(r), int(o))
-        ranks[row] = rank_of_target(query_scores, int(o))
-    return ranks

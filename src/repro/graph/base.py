@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..nn import Module, Tensor
-from ..nn.ops import degree_norm, index_select, segment_sum
+from ..nn.ops import degree_norm, index_select
 
 
 def in_degree_norm(dst: np.ndarray, num_nodes: int,
@@ -22,7 +22,7 @@ def in_degree_norm(dst: np.ndarray, num_nodes: int,
 
     Delegates to :func:`repro.nn.ops.degree_norm` so repeated layers and
     epochs over the same snapshot reuse the memoized bincount instead of
-    rescanning the edge array (``FLAGS.degree_cache``).
+    rescanning the edge array.
     """
     return degree_norm(dst, num_nodes, dtype)
 
@@ -37,14 +37,6 @@ class RelationalGraphLayer(Module):
     def forward(self, h: Tensor, r: Tensor, src: np.ndarray,
                 rel: np.ndarray, dst: np.ndarray) -> Tensor:  # pragma: no cover
         raise NotImplementedError
-
-    @staticmethod
-    def aggregate_mean(messages: Tensor, dst: np.ndarray,
-                       num_nodes: int) -> Tensor:
-        """In-degree-normalized sum of ``messages`` onto destinations."""
-        summed = segment_sum(messages, dst, num_nodes)
-        norm = in_degree_norm(dst, num_nodes, dtype=messages.data.dtype)
-        return summed * Tensor(norm[:, None])
 
 
 def gather(h: Tensor, index: np.ndarray) -> Tensor:

@@ -14,8 +14,7 @@ import numpy as np
 
 from ..nn import Module, Parameter, Tensor
 from ..nn import init as weight_init
-from ..nn.ops import dropout, fused_relational_pass, index_select, rrelu
-from ..perf import FLAGS
+from ..nn.ops import fused_relational_pass
 from .base import RelationalGraphLayer
 
 _COMPOSITIONS = ("sub", "mult")
@@ -47,23 +46,11 @@ class CompGCNLayer(RelationalGraphLayer):
 
     def forward(self, h: Tensor, r: Tensor, src: np.ndarray,
                 rel: np.ndarray, dst: np.ndarray) -> Tensor:
-        num_nodes = h.shape[0]
-        if FLAGS.fused_kernels:
-            return fused_relational_pass(
-                h, r, self.w_message, self.w_self, src, rel, dst, num_nodes,
-                composition=self.composition, activation=True,
-                training=self.training, dropout_rate=self.dropout_rate,
-                rng=self._rng)
-        h_src = index_select(h, src)
-        r_edge = index_select(r, rel)
-        if self.composition == "sub":
-            composed = h_src - r_edge
-        else:
-            composed = h_src * r_edge
-        aggregated = self.aggregate_mean(composed @ self.w_message, dst, num_nodes)
-        out = aggregated + h @ self.w_self
-        out = rrelu(out, training=self.training, rng=self._rng)
-        return dropout(out, self.dropout_rate, self.training, self._rng)
+        return fused_relational_pass(
+            h, r, self.w_message, self.w_self, src, rel, dst, h.shape[0],
+            composition=self.composition, activation=True,
+            training=self.training, dropout_rate=self.dropout_rate,
+            rng=self._rng)
 
     def update_relations(self, r: Tensor) -> Tensor:
         """CompGCN also evolves relation embeddings through W_rel."""

@@ -20,8 +20,7 @@ import numpy as np
 
 from ..nn import Module, Parameter, Tensor
 from ..nn import init as weight_init
-from ..nn.ops import dropout, fused_relational_pass, index_select, rrelu
-from ..perf import FLAGS
+from ..nn.ops import fused_relational_pass
 from .base import RelationalGraphLayer
 
 
@@ -40,19 +39,11 @@ class RGCNLayer(RelationalGraphLayer):
 
     def forward(self, h: Tensor, r: Tensor, src: np.ndarray,
                 rel: np.ndarray, dst: np.ndarray) -> Tensor:
-        num_nodes = h.shape[0]
-        if FLAGS.fused_kernels:
-            return fused_relational_pass(
-                h, r, self.w_message, self.w_self, src, rel, dst, num_nodes,
-                composition="add", activation=self.activation,
-                training=self.training, dropout_rate=self.dropout_rate,
-                rng=self._rng)
-        messages = (index_select(h, src) + index_select(r, rel)) @ self.w_message
-        aggregated = self.aggregate_mean(messages, dst, num_nodes)
-        out = aggregated + h @ self.w_self
-        if self.activation:
-            out = rrelu(out, training=self.training, rng=self._rng)
-        return dropout(out, self.dropout_rate, self.training, self._rng)
+        return fused_relational_pass(
+            h, r, self.w_message, self.w_self, src, rel, dst, h.shape[0],
+            composition="add", activation=self.activation,
+            training=self.training, dropout_rate=self.dropout_rate,
+            rng=self._rng)
 
 
 class RGCN(Module):

@@ -3,9 +3,9 @@
 Every tensor the model stack creates — parameters, activations, scores —
 is **float32** by default.  float32 halves memory traffic against
 float64, doubles effective BLAS throughput on the dense matmuls that
-dominate the encoder hot path, and (measured in
-``benchmarks/test_perf_pass.py``) keeps metric rows within atol 1e-5 of
-a float64 reference pass.
+dominate the encoder hot path, and (asserted by
+``tests/eval/test_dtype_parity.py``) keeps metric rows within atol 1e-5
+of a float64 reference pass.
 
 This module is the single place the policy lives:
 

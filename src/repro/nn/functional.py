@@ -6,7 +6,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ops import log_softmax, softmax
+from .ops import fused_multilabel_loss, log_softmax, softmax
 from .tensor import Tensor
 
 
@@ -32,13 +32,7 @@ def multilabel_soft_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     a multi-hot label row normalized over its positives.  ``labels`` is a
     float multi-hot matrix ``(batch, num_entities)``.
     """
-    from ..perf import FLAGS
-    if FLAGS.fused_kernels:
-        from .ops import fused_multilabel_loss
-        return fused_multilabel_loss(logits, labels)
-    log_p = log_softmax(logits, axis=-1)
-    weights = labels / np.maximum(labels.sum(axis=-1, keepdims=True), 1.0)
-    return -(log_p * Tensor(weights.astype(logits.dtype))).sum(axis=-1).mean()
+    return fused_multilabel_loss(logits, labels)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor,

@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..perf import FLAGS as _PERF
 from .tensor import Tensor, _unbroadcast, is_grad_enabled
 
 try:  # scipy accelerates the scatter primitives; ops degrade gracefully
@@ -77,7 +76,7 @@ def _scatter_add_rows(idx: np.ndarray, values: np.ndarray,
         out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
         np.add.at(out, idx, values)
         return out
-    if _csr_matvecs is not None and _PERF.fused_kernels and values.ndim <= 2:
+    if _csr_matvecs is not None and values.ndim <= 2:
         vals = values[:, None] if values.ndim == 1 else values
         vals = np.ascontiguousarray(vals)
         n_vecs = vals.shape[1]
@@ -106,9 +105,8 @@ def _index_array(index: IndexLike) -> np.ndarray:
 
 # Cache of per-segment element counts (np.bincount results).  The edge
 # arrays of a snapshot are immutable, so the in-degree counts feeding
-# mean aggregation and the R-GCN normalizer are recomputed with identical
-# inputs on every layer of every epoch; hoisting them out of the forward
-# is one lever of the PR-8 speed pass (repro.perf FLAGS.degree_cache).
+# mean aggregation and the R-GCN normalizer would otherwise be recomputed
+# with identical inputs on every layer of every epoch.
 _COUNTS_CACHE: "OrderedDict[tuple, np.ndarray]" = None
 _COUNTS_CACHE_LIMIT = 2048
 
@@ -117,12 +115,9 @@ def segment_counts(idx: np.ndarray, num_segments: int) -> np.ndarray:
     """``np.bincount(idx, minlength=num_segments)``, memoized.
 
     The returned int64 array is shared and read-only when served from
-    the cache; callers must copy before mutating.  With
-    ``FLAGS.degree_cache`` off this is a plain bincount.
+    the cache; callers must copy before mutating.
     """
     global _COUNTS_CACHE
-    if not _PERF.degree_cache:
-        return np.bincount(idx, minlength=num_segments)
     if _COUNTS_CACHE is None:
         from collections import OrderedDict
         _COUNTS_CACHE = OrderedDict()
@@ -283,23 +278,15 @@ def segment_softmax(scores: Tensor, segment_ids: IndexLike,
     seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
     shifted = data - seg_max[idx]
     exp = np.exp(shifted)
-    if _PERF.fused_kernels:
-        # CSR scatter beats np.add.at by an order of magnitude on the
-        # repeated edge arrays of the encoder; same sums, same order.
-        seg_sum = _scatter_add_rows(idx, exp, num_segments)
-    else:
-        seg_sum = np.zeros(num_segments, dtype=data.dtype)
-        np.add.at(seg_sum, idx, exp)
+    # CSR scatter beats np.add.at by an order of magnitude on the
+    # repeated edge arrays of the encoder; same sums, same order.
+    seg_sum = _scatter_add_rows(idx, exp, num_segments)
     out_data = exp / np.maximum(seg_sum[idx], 1e-12)
 
     def backward(grad: np.ndarray) -> None:
         # d softmax: p * (grad - sum_j p_j grad_j) within each segment
         weighted = out_data * grad
-        if _PERF.fused_kernels:
-            seg_dot = _scatter_add_rows(idx, weighted, num_segments)
-        else:
-            seg_dot = np.zeros(num_segments, dtype=data.dtype)
-            np.add.at(seg_dot, idx, weighted)
+        seg_dot = _scatter_add_rows(idx, weighted, num_segments)
         scores._accumulate(weighted - out_data * seg_dot[idx])
 
     return Tensor._make(out_data, (scores,), backward)
@@ -508,7 +495,7 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Ten
     return Tensor._make(out_data, parents, backward)
 
 # ---------------------------------------------------------------------------
-# fused encoder kernels (PR-8 performance pass)
+# fused encoder kernels
 # ---------------------------------------------------------------------------
 # One graph-layer / recurrent-cell step costs ~20 autodiff nodes on the
 # generic op path; at icews14_like scale the per-node Python overhead
@@ -520,9 +507,9 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Ten
 # draws from the RNG in the same order/shapes so sampled slopes and
 # dropout masks match too.  The handwritten backwards are analytically
 # equal but may differ in float summation order, so gradients agree to
-# ulp-level tolerance rather than bitwise (asserted by
-# tests/nn/test_fused_kernels.py).  `repro.perf.legacy_kernels()`
-# switches every call site back to the generic path.
+# ulp-level tolerance rather than bitwise.  The generic compositions
+# they replace live on as test oracles (tests/nn/reference_ops.py,
+# held to these kernels by tests/nn/test_fused_kernels.py).
 
 def fused_relational_pass(h: Tensor, r: Tensor, w_message: Tensor,
                           w_self: Tensor, src: np.ndarray, rel: np.ndarray,
@@ -645,8 +632,8 @@ def fused_time_gate_evolve(entities: Tensor, relations: Tensor,
 
     ``pooled = segment_mean(entities[src], rel); cand = pooled +
     relations; out = gate * cand + (1 - gate) * relations`` with ``gate
-    = sigmoid(cand @ W + b)`` — the fused form of
-    ``LocalRecurrentEncoder._evolve_relations`` + ``TimeGate``.
+    = sigmoid(cand @ W + b)`` — ``segment_mean`` pooling followed by
+    the :class:`repro.nn.recurrent.TimeGate` update, in one node.
     """
     num_rel = relations.data.shape[0]
     ed, reld = entities.data, relations.data
@@ -680,8 +667,7 @@ def fused_time_fuse(h: Tensor, w_t: Tensor, b_t: Tensor, w_fuse: Tensor,
     """Time-interval fusion (Eq. 2-3) as a single autodiff node.
 
     ``cos(d * w_t + b_t)`` tiled over rows, concatenated with ``h`` and
-    projected by ``w_fuse`` — the fused form of
-    ``repro.core.time_encoding.TimeEncoding.forward``.
+    projected by ``w_fuse`` (``repro.core.time_encoding.TimeEncoding``).
     """
     hd = h.data
     num_rows, ent_dim = hd.shape
@@ -715,8 +701,8 @@ def fused_query_key(base: Tensor, relations: Tensor,
                     dim: int) -> Tensor:
     """Query-aware entity key (Eq. 9) as a single autodiff node.
 
-    ``W_4 [segment_mean(r[q_rel] by q_subj) || h]`` — the fused form of
-    ``repro.core.attention.QueryKeyBuilder.forward``.
+    ``W_4 [segment_mean(r[q_rel] by q_subj) || h]``
+    (``repro.core.attention.QueryKeyBuilder``).
     """
     bd, rd = base.data, relations.data
     num_entities = bd.shape[0]
@@ -753,9 +739,9 @@ def fused_local_attention(evolved: Tensor, snapshot_aggs: Sequence[Tensor],
     """Additive snapshot attention (Eq. 10-11) as a single autodiff node.
 
     Scores every snapshot aggregate against the query key, softmaxes
-    across the window and adds the weighted sum to ``evolved`` — the
-    fused form of ``LocalEntityAwareAttention.forward`` (additive score;
-    the dot-score variant stays on the generic path).
+    across the window and adds the weighted sum to ``evolved``
+    (``LocalEntityAwareAttention`` with the additive score; the
+    dot-score variant stays on the generic ops).
     """
     keyd = query_key.data
     aggs = [a.data for a in snapshot_aggs]
@@ -826,8 +812,9 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
 
     stack -> dropout -> conv1d(same) -> relu -> dropout -> fc -> relu ->
     dropout -> candidate dot products, replicating
-    ``repro.core.decoder.ConvTransE.forward`` (including its three
-    dropout RNG draws, in order) with one backward closure.  When
+    ``repro.core.decoder.ConvTransE.transform(...) @ candidates.T``
+    (including its three dropout RNG draws, in order) with one backward
+    closure.  When
     ``subject_index`` / ``relation_index`` are given, ``subjects`` /
     ``relations`` are full embedding matrices and the per-query row
     gather (plus its scatter-add backward) folds into this node too.
@@ -942,10 +929,10 @@ def fused_query_contrast(local_agg: Tensor, local_rel: Tensor,
     """The full query-contrast loss (Eq. 15-17) as one autodiff node.
 
     Projects both query views through their two-layer tanh MLP heads,
-    L2-normalizes, and averages the enabled InfoNCE strategies — the
-    fused form of ``QueryContrastModule.project_local/project_global/
-    forward``.  ``local_head`` / ``global_head`` are the flattened
-    ``(w1, b1, w2, b2)`` parameters of each projection MLP.
+    L2-normalizes, and averages the enabled InfoNCE strategies
+    (``repro.nn.functional.info_nce``) — the loss of
+    ``QueryContrastModule``.  ``local_head`` / ``global_head`` are the
+    flattened ``(w1, b1, w2, b2)`` parameters of each projection MLP.
     """
     lw1, lb1, lw2, lb2 = local_head
     gw1, gb1, gw2, gb2 = global_head
@@ -1045,9 +1032,8 @@ def fused_blend(a: Tensor, b: Tensor, weight_a: float) -> Tensor:
 def fused_multilabel_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Softmax cross-entropy against normalized multi-hot rows (Eq. 20).
 
-    One autodiff node replicating
-    ``repro.nn.functional.multilabel_soft_loss``'s log-softmax / weight /
-    reduce chain.
+    One autodiff node for the log-softmax / weight / reduce chain
+    behind ``repro.nn.functional.multilabel_soft_loss``.
     """
     data = logits.data
     shifted = data - data.max(axis=-1, keepdims=True)

@@ -12,7 +12,6 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..perf import FLAGS
 from .modules import Parameter
 
 
@@ -83,24 +82,12 @@ class Adam(Optimizer):
         self._step += 1
         bc1 = 1.0 - self.beta1 ** self._step
         bc2 = 1.0 - self.beta2 ** self._step
-        inplace = FLAGS.inplace_optim
         for p, m, v, buf in zip(self.params, self._m, self._v, self._scratch):
             if p.grad is None:
                 continue
             grad = p.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
-            if not inplace:
-                # Textbook form (pre-pass path): ~8 temporaries per param.
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                m_hat = m / bc1
-                v_hat = v / bc2
-                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat)
-                                                     + self.eps)
-                continue
             # m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2, allocation-free
             np.multiply(grad, 1.0 - self.beta1, out=buf)
             m *= self.beta1
@@ -130,13 +117,9 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float,
     norm is already computed here, so the hook costs nothing extra.
     """
     params = [p for p in params if p.grad is not None]
-    if FLAGS.inplace_optim:
-        # np.dot on the raveled gradient skips the squared temporary.
-        total = math.sqrt(sum(
-            float(np.dot(g, g)) for g in
-            (p.grad.ravel() for p in params)))
-    else:
-        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+    # np.dot on the raveled gradient skips the squared temporary.
+    total = math.sqrt(sum(float(np.dot(g, g)) for g in
+                          (p.grad.ravel() for p in params)))
     clipped = total > max_norm and total > 0
     if clipped:
         scale = max_norm / (total + 1e-12)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf import FLAGS
 from . import init as weight_init
 from .modules import Module, Parameter
-from .ops import concat, fused_gru_step
+from .ops import fused_gru_step
 from .tensor import Tensor
 
 
@@ -41,15 +40,8 @@ class GRUCell(Module):
         self.bias = Parameter(weight_init.zeros((3 * hidden_dim,)))
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        d = self.hidden_dim
-        if FLAGS.fused_kernels:
-            return fused_gru_step(x, h, self.w_x, self.w_h, self.bias, d)
-        gates_x = x @ self.w_x + self.bias
-        gates_h = h @ self.w_h
-        z = (gates_x[:, :d] + gates_h[:, :d]).sigmoid()
-        r = (gates_x[:, d:2 * d] + gates_h[:, d:2 * d]).sigmoid()
-        n = (gates_x[:, 2 * d:] + r * gates_h[:, 2 * d:]).tanh()
-        return (1.0 - z) * n + z * h
+        return fused_gru_step(x, h, self.w_x, self.w_h, self.bias,
+                              self.hidden_dim)
 
 
 class TimeGate(Module):

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..eval.metrics import ranks_of_targets
-from ..eval.ranking import batch_ranks_per_query, batch_ranks_vectorized
+from ..eval.ranking import batch_ranks_vectorized
 from ..obs import NULL_TELEMETRY, Telemetry
 from .pool import ShardPool, effective_workers, plan_shards
 
@@ -82,8 +82,6 @@ def _run_eval_shard(state: Dict, payload: Tuple[int, int]
         # caller's own context untouched.
         _adopt_worker_store(context, state["store_path"])
     context.bind_telemetry(telemetry)
-    rank_batch = (batch_ranks_vectorized if state["batched"]
-                  else batch_ranks_per_query)
     noise_key = state["noise_key"]
     # Mirror the serial protocol's inverse-phase context reuse: blocks
     # are contiguous in the time-ordered batch list, so a shard usually
@@ -103,8 +101,9 @@ def _run_eval_shard(state: Dict, payload: Tuple[int, int]
                       if context_memo is not None
                       else model.predict_on(batch))
         with telemetry.span("rank"):
-            ranks = rank_batch(scores, batch, state["time_filter"],
-                               state["static_filter"])
+            ranks = batch_ranks_vectorized(scores, batch,
+                                           state["time_filter"],
+                                           state["static_filter"])
         telemetry.incr("queries_evaluated", len(batch))
         ranks_out.append(ranks)
     if not state.get("want_telemetry", True):
@@ -113,7 +112,7 @@ def _run_eval_shard(state: Dict, payload: Tuple[int, int]
 
 
 def sharded_ranks(model, batches: Sequence, time_filter, static_filter,
-                  batched: bool, workers: int,
+                  workers: int,
                   telemetry: Telemetry = NULL_TELEMETRY
                   ) -> List[np.ndarray]:
     """Rank every batch across a worker pool; one rank array per batch.
@@ -139,7 +138,7 @@ def sharded_ranks(model, batches: Sequence, time_filter, static_filter,
     state = {
         "model": model, "context": context, "batches": list(batches),
         "time_filter": time_filter, "static_filter": static_filter,
-        "batched": batched, "noise_key": noise_key,
+        "noise_key": noise_key,
         # Workers skip assembling/pickling telemetry snapshots nobody
         # will read when the parent evaluates with the null telemetry.
         "want_telemetry": telemetry is not NULL_TELEMETRY,
@@ -182,11 +181,9 @@ def _run_online_shard(state: Dict, payload: Tuple[Dict, int]
     model.eval()
     state["context"].bind_telemetry(telemetry)
     batch = state["batches"][index]
-    rank_batch = (batch_ranks_vectorized if state["batched"]
-                  else batch_ranks_per_query)
     with telemetry.span("predict"):
         scores = model.predict_on(batch)
-        ranks = rank_batch(scores, batch, state["time_filter"])
+        ranks = batch_ranks_vectorized(scores, batch, state["time_filter"])
     telemetry.incr("queries_evaluated", len(batch))
     return ranks, telemetry.export_state()
 
@@ -201,7 +198,7 @@ class OnlineShardRunner:
     """
 
     def __init__(self, model, batches: Sequence, time_filter,
-                 batched: bool, workers: int):
+                 workers: int):
         self._batches = list(batches)
         workers = effective_workers(workers,
                                     sum(len(b) for b in self._batches))
@@ -209,7 +206,7 @@ class OnlineShardRunner:
         state = {
             "model": model, "batches": self._batches,
             "context": self._batches[0].context if self._batches else None,
-            "time_filter": time_filter, "batched": batched,
+            "time_filter": time_filter,
         }
         self._model = model
         self._pool = ShardPool(workers, shared=state)

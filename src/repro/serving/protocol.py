@@ -17,6 +17,9 @@ documents) dispatches on ``"op"``:
 ``stats``     ``{"op": "stats"}``
 ``save``      ``{"op": "save", "path": "engine_state.npz"}``
 
+``filtered`` must be a JSON boolean and ``topk`` a JSON integer; other
+types are request errors rather than coerced.
+
 Every request may carry an optional ``"id"`` field, echoed verbatim in
 the response (success or error) so concurrent clients multiplexed over
 one connection can correlate replies.  Error responses always name the
@@ -175,6 +178,32 @@ def fact_array(value: object, name: str,
     return arr.astype(FACT_DTYPE)
 
 
+def _flag_option(request: Dict[str, Any], name: str, default: bool) -> bool:
+    """A boolean request option; only a JSON ``true``/``false`` is valid.
+
+    ``bool()`` coercion would read the string ``"false"`` as true, so
+    anything but an actual boolean is rejected.
+    """
+    value = request.get(name, default)
+    if not isinstance(value, bool):
+        raise RequestError(f"{name} must be a JSON boolean, got {value!r}",
+                           op=request.get("op"))
+    return value
+
+
+def _topk_option(request: Dict[str, Any]) -> int:
+    """The ``topk`` option; only a JSON integer (not a boolean) is valid.
+
+    ``int()`` coercion would truncate ``1.9`` to 1 and read ``true`` as
+    1, so floats, strings and booleans are rejected.
+    """
+    value = request.get("topk", 10)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RequestError(f"topk must be an integer, got {value!r}",
+                           op=request.get("op"))
+    return value
+
+
 @dataclass(frozen=True)
 class PredictSpec:
     """A parsed ``predict`` request: aligned query arrays + options."""
@@ -198,8 +227,8 @@ def parse_predict(request: Dict[str, Any]) -> PredictSpec:
         subjects=np.ascontiguousarray(queries[:, 0]),
         relations=np.ascontiguousarray(queries[:, 1]),
         time=None if time is None else int(time),
-        k=int(request.get("topk", 10)),
-        filtered=bool(request.get("filtered", False)))
+        k=_topk_option(request),
+        filtered=_flag_option(request, "filtered", False))
 
 
 def topk_payload(engine, scores: np.ndarray, spec: PredictSpec,
@@ -249,7 +278,7 @@ def handle_request(engine, request: Dict[str, Any]) -> Dict[str, Any]:
     if op == "rank":
         queries = fact_array(request.get("queries"), "queries", columns=(3,))
         time = request.get("time")
-        filtered = bool(request.get("filtered", True))
+        filtered = _flag_option(request, "filtered", True)
         workers = int(request.get("workers", 1))
         ranks = engine.rank_queries(queries[:, 0], queries[:, 1],
                                     queries[:, 2], time=time,
@@ -286,8 +315,8 @@ def handle_request(engine, request: Dict[str, Any]) -> Dict[str, Any]:
         from . import ops
         return with_id(ops.forecast_response(
             engine, queries[:, 0], queries[:, 1], horizon=horizon,
-            k=int(request.get("topk", 10)),
-            filtered=bool(request.get("filtered", False))), request)
+            k=_topk_option(request),
+            filtered=_flag_option(request, "filtered", False)), request)
     if op == "stats":
         return with_id({"ok": True, "op": op,
                         "watermark": engine.watermark,

@@ -190,7 +190,7 @@ class _ObjectRuns:
 
     def true_objects(self, time: int, s: int, r: int) -> FrozenSet[int]:
         # :meth:`runs` for one pair on python scalars: no temporary
-        # arrays on the per-query paths (``filter_scores``).
+        # arrays for a lone lookup.
         if not (_ID_MIN <= s <= _ID_MAX and _ID_MIN <= r <= _ID_MAX):
             return frozenset()
         first = int(self.times.searchsorted(time))
@@ -251,15 +251,6 @@ def _fact_rows(facts: Iterable[QuadrupleSet]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else _EMPTY.reshape(0, 4)
 
 
-def _filtered_copy(scores: np.ndarray, others: FrozenSet[int]
-                   ) -> np.ndarray:
-    if not others:
-        return scores
-    filtered = scores.copy()
-    filtered[list(others)] = -np.inf
-    return filtered
-
-
 class TimeAwareFilter:
     """Index of true objects keyed by (subject, relation, time)."""
 
@@ -302,14 +293,6 @@ class TimeAwareFilter:
                        else facts)
         self._mask_memo.clear()
 
-    def filter_scores(self, scores: np.ndarray, s: int, r: int, t: int,
-                      target: int) -> np.ndarray:
-        """Return a copy of ``scores`` with competing true objects at -inf.
-
-        The gold ``target`` itself keeps its score so its rank is defined.
-        """
-        return _filtered_copy(scores, self.true_objects(s, r, t) - {target})
-
 
 class StaticFilter:
     """Index of true objects keyed by (subject, relation) over all time.
@@ -346,7 +329,3 @@ class StaticFilter:
         """
         return self._mask_memo.get(self._runs, 0, subjects, relations,
                                    targets)
-
-    def filter_scores(self, scores: np.ndarray, s: int, r: int,
-                      target: int) -> np.ndarray:
-        return _filtered_copy(scores, self.true_objects(s, r) - {target})

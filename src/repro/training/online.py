@@ -8,9 +8,7 @@ period thereby update the model, which is why online results dominate
 offline ones for every model in Fig. 10.
 
 Ranking goes through the same batched kernel as the offline protocol
-(:func:`repro.eval.ranking.batch_ranks_vectorized`); the legacy
-per-query path is kept behind ``batched=False`` and the parity tests
-assert both produce bitwise-identical metric rows.
+(:func:`repro.eval.ranking.batch_ranks_vectorized`).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..eval.metrics import RankingAccumulator
-from ..eval.ranking import batch_ranks_per_query, batch_ranks_vectorized
+from ..eval.ranking import batch_ranks_vectorized
 from ..interface import ExtrapolationModel
 from ..nn import Adam, clip_grad_norm
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -41,7 +39,6 @@ class OnlineConfig:
 
 def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
                     config: OnlineConfig = OnlineConfig(),
-                    batched: bool = True,
                     workers: int = 1,
                     telemetry: Telemetry = NULL_TELEMETRY
                     ) -> Dict[str, float]:
@@ -49,9 +46,7 @@ def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
 
     Returns the same metric row as :func:`repro.eval.evaluate`, so online
     and offline numbers are directly comparable (Fig. 10).  The caller's
-    train/eval mode is restored on return.  ``batched=False`` selects the
-    legacy per-query ranking path (bitwise-identical to the default
-    batched kernel; kept for the parity tests).  ``workers`` shards each
+    train/eval mode is restored on return.  ``workers`` shards each
     timestamp's predict phase across forked processes
     (:mod:`repro.parallel`); adaptation stays serial in the parent, so
     metric rows are bitwise-identical for every worker count.  A
@@ -68,7 +63,6 @@ def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
         time_filter = TimeAwareFilter(augmented)
     optimizer = Adam(model.parameters(), lr=config.lr)
     accumulator = RankingAccumulator()
-    rank_batch = batch_ranks_vectorized if batched else batch_ranks_per_query
     was_training = bool(getattr(model, "training", False))
 
     # Group the per-phase batches by timestamp so we score *both* phases
@@ -85,7 +79,7 @@ def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
         # protocol, pulled in only when sharding is requested.
         from ..parallel.evaluation import OnlineShardRunner
         runner = OnlineShardRunner(model, batches, time_filter,
-                                   batched=batched, workers=workers)
+                                   workers=workers)
     try:
         for t in sorted(by_time):
             group = by_time[t]
@@ -98,8 +92,8 @@ def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
                 with telemetry.span("predict"):
                     for batch in group:
                         scores = model.predict_on(batch)
-                        accumulator.add_ranks(
-                            rank_batch(scores, batch, time_filter))
+                        accumulator.add_ranks(batch_ranks_vectorized(
+                            scores, batch, time_filter))
                         telemetry.incr("queries_evaluated", len(batch))
             # 2. adapt on the now-revealed facts of t
             model.train()

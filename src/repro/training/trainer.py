@@ -18,7 +18,6 @@ from ..eval.protocol import evaluate
 from ..interface import ExtrapolationModel
 from ..nn import Adam, clip_grad_norm
 from ..obs import NULL_TELEMETRY, ParamDrift, Telemetry
-from ..perf import FLAGS
 from ..tkg.dataset import TKGDataset
 from .context import (PHASES, HistoryContext, iter_joint_timestep_batches,
                       iter_timestep_batches)
@@ -41,12 +40,6 @@ class TrainConfig:
     eval_every: int = 2          # validate every N epochs
     verbose: bool = False
     min_history: int = 1
-    joint_phases: bool = True    # one batch per timestamp holding both
-                                 # phases (the original LogCL/RE-GCN
-                                 # schedule); halves encoder work per
-                                 # epoch.  Only applies when ``phases``
-                                 # is the full two-phase set — ablation
-                                 # configs keep the split iterator.
     workers: int = 1             # forked shard workers (repro.parallel)
     grad_accum: Optional[int] = None  # batches per optimizer step (sharded
                                       # mode; defaults to ``workers``)
@@ -71,9 +64,15 @@ class Trainer:
         self.config = config
 
     def _train_batches(self, dataset: TKGDataset, context: HistoryContext):
-        """The epoch's training batches under the configured schedule."""
+        """The epoch's training batches under the configured schedule.
+
+        With the full two-phase set, one batch per timestamp holds both
+        phases (the original LogCL/RE-GCN schedule, halving encoder work
+        per epoch); ablation configs with a single phase keep the split
+        iterator.
+        """
         cfg = self.config
-        if cfg.joint_phases and set(cfg.phases) == set(PHASES):
+        if set(cfg.phases) == set(PHASES):
             return iter_joint_timestep_batches(dataset, "train", context,
                                                min_history=cfg.min_history)
         return iter_timestep_batches(dataset, "train", context,
@@ -121,8 +120,6 @@ class Trainer:
         # The parameter set is static across a fit; walking the module
         # tree once here keeps the per-step grad-clip off the recursive
         # ``named_parameters`` path (~0.5ms/step at benchmark scale).
-        # With the in-place-optimizer lever off the walk stays per-step,
-        # matching the pre-pass trainer the perf benchmark measures.
         param_list = model.parameters()
 
         for epoch in range(cfg.epochs):
@@ -136,9 +133,7 @@ class Trainer:
                             optimizer.zero_grad()
                             loss = model.loss_on(batch)
                             loss.backward()
-                            clip_grad_norm(param_list if FLAGS.inplace_optim
-                                           else model.parameters(),
-                                           cfg.grad_clip,
+                            clip_grad_norm(param_list, cfg.grad_clip,
                                            telemetry=telemetry)
                             optimizer.step()
                         epoch_losses.append(float(loss.data))

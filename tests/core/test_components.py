@@ -13,7 +13,6 @@ from repro.core.local_encoder import LocalRecurrentEncoder
 from repro.core.time_encoding import TimeEncoding
 from repro.graph import build_aggregator
 from repro.nn import Tensor
-from repro.nn.ops import l2_normalize
 from repro.tkg.dataset import Snapshot
 from repro.utils.seeding import seeded_rng
 
@@ -39,8 +38,14 @@ class TestTimeEncoding:
 
     def test_interval_feature_bounded(self):
         enc = TimeEncoding(16, 8, seeded_rng(0))
-        phi = enc.encode_interval(123).data
+        # zero entities and W_0 = [0; I] expose phi(d) as the output
+        enc.w_fuse.data[:] = 0.0
+        enc.w_fuse.data[16:, :8] = np.eye(8, dtype=np.float32)
+        out = enc(Tensor(np.zeros((5, 16), dtype=np.float32)), 123).data
+        phi = out[:, :8]
+        np.testing.assert_array_equal(phi, np.broadcast_to(phi[0], (5, 8)))
         assert np.all(np.abs(phi) <= 1.0 + 1e-6)
+        assert np.any(np.abs(phi) > 0.1)
 
     def test_gradient_reaches_frequencies(self):
         enc = TimeEncoding(8, 4, seeded_rng(0))
@@ -131,35 +136,50 @@ class TestContrastModule:
         with pytest.raises(ValueError):
             QueryContrastModule(8, seeded_rng(0), temperature=0.0)
 
+    @staticmethod
+    def _views(seed=0, queries=6):
+        """(local_agg, relations, global_agg, relations0, subjects, rels)."""
+        return (rnd((queries, 8), seed), rnd((4, 8), seed + 1),
+                rnd((queries, 8), seed + 2), rnd((4, 8), seed + 3),
+                np.arange(queries), np.arange(queries) % 4)
+
     def test_projections_on_unit_sphere(self):
+        """Scaling both heads' outputs leaves L_cl unchanged: the views
+        are normalized onto the unit sphere before the InfoNCE terms."""
         module = QueryContrastModule(8, seeded_rng(0))
-        z = module.project_local(rnd((6, 8)), rnd((4, 8), 1),
-                                 np.array([0, 1, 2]), np.array([0, 1, 3]))
-        np.testing.assert_allclose(np.linalg.norm(z.data, axis=1),
-                                   np.ones(3), atol=1e-5)
+        views = self._views()
+        before = float(module(*views).data)
+        for head in (module.local_head, module.global_head):
+            out_layer = head.net.layers[-1]
+            out_layer.weight.data *= 10.0
+            out_layer.bias.data *= 10.0
+        assert float(module(*views).data) == pytest.approx(before, rel=1e-5)
 
     def test_single_query_loss_is_zero(self):
         module = QueryContrastModule(8, seeded_rng(0))
-        z = l2_normalize(rnd((1, 8)))
-        loss = module(z, z)
+        loss = module(rnd((1, 8)), rnd((4, 8), 1), rnd((1, 8), 2),
+                      rnd((4, 8), 3), np.array([0]), np.array([1]))
         assert float(loss.data) == 0.0
 
     def test_aligned_views_give_lower_loss(self):
         module = QueryContrastModule(8, seeded_rng(0), temperature=0.1)
+        for local_p, global_p in zip(module.local_head.parameters(),
+                                     module.global_head.parameters()):
+            global_p.data = local_p.data.copy()      # one shared head
+        local, rels, _, _, subjects, relations = self._views()
         rng = seeded_rng(3)
-        base = rng.standard_normal((6, 8)).astype(np.float32)
-        z1 = l2_normalize(Tensor(base))
-        z2 = l2_normalize(Tensor(base + 0.01 * rng.standard_normal((6, 8)).astype(np.float32)))
-        z3 = l2_normalize(Tensor(rng.standard_normal((6, 8)).astype(np.float32)))
-        assert float(module(z1, z2).data) < float(module(z1, z3).data)
+        near = Tensor(local.data + 0.01 * rng.standard_normal(
+            local.shape).astype(np.float32))
+        aligned = module(local, rels, near, rels, subjects, relations)
+        random = module(local, rels, rnd(local.shape, 9), rels, subjects,
+                        relations)
+        assert float(aligned.data) < float(random.data)
 
     def test_strategy_subsets(self):
-        rng = seeded_rng(3)
-        z1 = l2_normalize(Tensor(rng.standard_normal((4, 8)).astype(np.float32)))
-        z2 = l2_normalize(Tensor(rng.standard_normal((4, 8)).astype(np.float32)))
+        views = self._views(seed=3, queries=4)
         for strat in ("lg", "gl", "ll", "gg"):
             module = QueryContrastModule(8, seeded_rng(0), strategies=(strat,))
-            loss = module(z1, z2)
+            loss = module(*views)
             assert np.isfinite(float(loss.data))
 
 

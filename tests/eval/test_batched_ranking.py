@@ -1,10 +1,11 @@
-"""Parity tests: the vectorized filter+rank kernel vs the legacy path.
+"""Parity tests: the vectorized filter+rank kernel vs per-query oracles.
 
 The batched kernel (``mask_indices_for_batch`` + ``ranks_of_targets``)
-must agree *bitwise* with the per-query reference
-(``filter_scores`` + ``rank_of_target``) — same ranks, same MRR, same
-Hits@k — across all three filter settings, including tied scores and
-``-inf`` rows.
+must agree *bitwise* with the per-query reference of
+``tests/eval/reference_protocol.py`` (dict-based filter, one score copy
+and ``rank_of_target`` per query) — same ranks, same MRR, same Hits@k —
+across all three filter settings, including tied scores and ``-inf``
+rows.
 """
 
 import numpy as np
@@ -16,6 +17,10 @@ from repro.eval.metrics import (RankingAccumulator, rank_of_target,
 from repro.eval.protocol import FILTER_SETTINGS, evaluate
 from repro.tkg.filtering import StaticFilter, TimeAwareFilter
 from repro.tkg.quadruples import QuadrupleSet
+
+from tests.eval.reference_protocol import reference_evaluate
+from tests.tkg.reference_filter import (ReferenceStaticFilter,
+                                        ReferenceTimeAwareFilter)
 
 
 def _tricky_scores(rng, shape):
@@ -89,7 +94,10 @@ class TestMaskIndices:
 
     @pytest.mark.parametrize("time", [0, 1])
     def test_time_aware_mask_matches_filter_scores(self, facts, time):
+        """The packed mask strikes what the oracle's per-query
+        ``filter_scores`` strikes, row by row."""
         filt = TimeAwareFilter(facts)
+        oracle = ReferenceTimeAwareFilter(facts)
         rng = np.random.default_rng(2)
         subjects = np.array([0, 1, 2, 5])
         relations = np.array([0, 0, 1, 1])
@@ -97,15 +105,17 @@ class TestMaskIndices:
         scores = rng.normal(size=(4, 8)).astype(np.float32)
         rows, cols = filt.mask_indices_for_batch(subjects, relations,
                                                  time, targets)
+        assert len(rows)        # the fixture has competitors to strike
         masked = scores.copy()
         masked[rows, cols] = -np.inf
         for row, (s, r, o) in enumerate(zip(subjects, relations, targets)):
             np.testing.assert_array_equal(
-                masked[row], filt.filter_scores(scores[row], int(s), int(r),
-                                                time, int(o)))
+                masked[row], oracle.filter_scores(scores[row], int(s),
+                                                  int(r), time, int(o)))
 
     def test_static_mask_matches_filter_scores(self, facts):
         filt = StaticFilter(facts)
+        oracle = ReferenceStaticFilter(facts)
         rng = np.random.default_rng(3)
         subjects = np.array([0, 2, 3])
         relations = np.array([0, 1, 0])
@@ -113,12 +123,13 @@ class TestMaskIndices:
         scores = rng.normal(size=(3, 8)).astype(np.float32)
         rows, cols = filt.mask_indices_for_batch(subjects, relations,
                                                  0, targets)
+        assert len(rows)
         masked = scores.copy()
         masked[rows, cols] = -np.inf
         for row, (s, r, o) in enumerate(zip(subjects, relations, targets)):
             np.testing.assert_array_equal(
-                masked[row], filt.filter_scores(scores[row], int(s), int(r),
-                                                int(o)))
+                masked[row], oracle.filter_scores(scores[row], int(s),
+                                                  int(r), int(o)))
 
     def test_no_competitors_returns_empty(self):
         filt = TimeAwareFilter([QuadrupleSet.from_quads([(0, 0, 1, 0)])])
@@ -136,17 +147,17 @@ class TestMaskIndices:
 class TestEvaluateParity:
     @pytest.mark.parametrize("filter_setting", FILTER_SETTINGS)
     def test_batched_matches_legacy_exactly(self, filter_setting):
+        """``evaluate`` == the per-query oracle loop, rows and records."""
         ds = tiny()
         model = _SeededScoreModel(ds.num_entities, seed=11)
-        batched_records, legacy_records = [], []
-        batched = evaluate(model, ds, "test", window=2,
-                           filter_setting=filter_setting,
-                           records=batched_records, batched=True)
-        legacy = evaluate(model, ds, "test", window=2,
-                          filter_setting=filter_setting,
-                          records=legacy_records, batched=False)
-        assert batched == legacy            # bitwise-identical metric row
-        assert batched_records == legacy_records
+        records = []
+        metrics = evaluate(model, ds, "test", window=2,
+                           filter_setting=filter_setting, records=records)
+        ref_metrics, ref_records = reference_evaluate(
+            model, ds, "test", window=2, filter_setting=filter_setting)
+        assert metrics == ref_metrics       # bitwise-identical metric row
+        assert records == ref_records
+        assert any(r.rank != 1.0 for r in records)
 
     def test_mode_restored_after_evaluate(self):
         ds = tiny()

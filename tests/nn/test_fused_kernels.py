@@ -1,4 +1,4 @@
-"""Fast-vs-legacy parity for the PR-8 fused encoder kernels.
+"""Fused encoder kernels vs their generic-op oracle.
 
 Every fused op replays the generic op path's numpy expressions in the
 same order, so **forward outputs are bitwise identical** — including in
@@ -8,15 +8,17 @@ backwards are analytically equal but may sum in a different float order,
 so **gradients agree to tight tolerances** rather than bitwise.
 
 Each test builds two identically-seeded module instances and runs one
-under the default flags and one under ``repro.perf.legacy_kernels()``.
-The model-level tests at the bottom exercise every fused op at once
-through real LogCL training batches.
+on the production kernels and one with the generic compositions of
+``tests/nn/reference_ops.py`` patched in at every call site.  The
+model-level tests at the bottom exercise every fused op at once through
+real LogCL training batches.
 """
 
 import numpy as np
 import pytest
 
 from repro import LogCL, LogCLConfig
+from repro.core import model as model_module
 from repro.core.attention import (GlobalEntityAwareAttention,
                                   LocalEntityAwareAttention, QueryKeyBuilder)
 from repro.core.contrast import QueryContrastModule
@@ -26,14 +28,17 @@ from repro.datasets import icews14_like
 from repro.graph import rgcn as rgcn_module
 from repro.graph.compgcn import CompGCN
 from repro.graph.rgcn import RGCN, RGCNLayer
-from repro.nn import functional as F
+from repro.nn import ops
 from repro.nn.ops import fused_blend, fused_multilabel_loss, index_select
 from repro.nn.recurrent import GRUCell
 from repro.nn.tensor import Tensor
-from repro.perf import clear_perf_caches, legacy_kernels
+from repro.perf import clear_perf_caches
 from repro.training.context import (HistoryContext,
                                     iter_joint_timestep_batches,
                                     iter_timestep_batches)
+
+from . import reference_ops
+from .reference_ops import FUSED_OPS, import_sites, use_reference_ops
 
 DIM = 8
 NODES = 12
@@ -54,21 +59,25 @@ def _edges(rng, num_rel=5):
 
 
 def _run(build_and_apply, fast):
-    """Build modules/inputs from a fixed seed, run, backprop sum^2."""
+    """Build modules/inputs from a fixed seed, run, backprop sum^2.
+
+    ``fast=False`` runs the same code with the reference ops patched in.
+    """
     clear_perf_caches()
     if fast:
         return build_and_apply()
-    with legacy_kernels():
+    with pytest.MonkeyPatch.context() as mp:
+        use_reference_ops(mp)
         return build_and_apply()
 
 
 def _assert_parity(build_and_apply, grad_atol=1e-5):
     out_fast, grads_fast = _run(build_and_apply, fast=True)
-    out_legacy, grads_legacy = _run(build_and_apply, fast=False)
-    np.testing.assert_array_equal(out_fast, out_legacy)
-    assert set(grads_fast) == set(grads_legacy)
+    out_ref, grads_ref = _run(build_and_apply, fast=False)
+    np.testing.assert_array_equal(out_fast, out_ref)
+    assert set(grads_fast) == set(grads_ref)
     for name in grads_fast:
-        np.testing.assert_allclose(grads_fast[name], grads_legacy[name],
+        np.testing.assert_allclose(grads_fast[name], grads_ref[name],
                                    rtol=1e-5, atol=grad_atol,
                                    err_msg=f"grad mismatch for {name}")
 
@@ -86,41 +95,53 @@ def _module_grads(module, inputs):
     return grads
 
 
-def _spy_on_relational_pass(monkeypatch):
-    """Record each ``fused_relational_pass`` call the R-GCN layer makes."""
-    calls = []
-    real = rgcn_module.fused_relational_pass
+class TestReferencePatch:
+    def test_every_fused_op_has_a_reference(self):
+        fused = {name for name in dir(ops) if name.startswith("fused_")}
+        assert fused == set(FUSED_OPS)
 
-    def spy(*args, **kwargs):
-        calls.append((kwargs["composition"], kwargs["activation"]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rgcn_module, "fused_relational_pass", spy)
-    return calls
+    def test_every_call_site_is_patched(self):
+        import repro  # noqa: F401 - loads every call site
+        sites = {name: [m.__name__ for m, _ in import_sites(
+            name, getattr(ops, name)) if m is not ops]
+            for name in FUSED_OPS}
+        assert all(sites.values()), sites
+        with pytest.MonkeyPatch.context() as mp:
+            assert use_reference_ops(mp) == sum(map(len, sites.values())) + 1
+            for name in FUSED_OPS:
+                left = [m.__name__ for m, _ in import_sites(
+                    name, getattr(ops, name))]
+                assert left == ["repro.nn.ops"], (name, left)
+                assert getattr(ops, name) is not getattr(reference_ops, name)
 
 
 class TestGraphLayers:
     @staticmethod
-    def _assert_rgcn_parity(build, calls, fused_calls):
-        """Fast arm takes the fused kernel, legacy arm never does; both
-        give the same output and leave the generator in the same state."""
-        out_fast, grads_fast, state_fast = _run(build, fast=True)
+    def _assert_rgcn_parity(build, fused_calls):
+        """The layer calls the fused kernel with the expected composition
+        and activation; the kernel and the reference composition give
+        the same output and leave the generator in the same state."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["composition"], kwargs["activation"]))
+            return ops.fused_relational_pass(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rgcn_module, "fused_relational_pass", spy)
+            out_fast, grads_fast, state_fast = _run(build, fast=True)
         assert calls == fused_calls
-        calls.clear()
-        out_legacy, grads_legacy, state_legacy = _run(build, fast=False)
-        assert calls == []
-        np.testing.assert_array_equal(out_fast, out_legacy)
-        assert state_fast == state_legacy
-        assert set(grads_fast) == set(grads_legacy)
+        out_ref, grads_ref, state_ref = _run(build, fast=False)
+        np.testing.assert_array_equal(out_fast, out_ref)
+        assert state_fast == state_ref
+        assert set(grads_fast) == set(grads_ref)
         for name in grads_fast:
-            np.testing.assert_allclose(grads_fast[name], grads_legacy[name],
+            np.testing.assert_allclose(grads_fast[name], grads_ref[name],
                                        rtol=1e-5, atol=1e-5,
                                        err_msg=f"grad mismatch for {name}")
 
     @pytest.mark.parametrize("training", [False, True])
-    def test_rgcn_stack(self, training, monkeypatch):
-        calls = _spy_on_relational_pass(monkeypatch)
-
+    def test_rgcn_stack(self, training):
         def build():
             rng = np.random.default_rng(SEED)
             net = RGCN(DIM, 2, rng)
@@ -131,12 +152,10 @@ class TestGraphLayers:
             _backward_sq(out)
             return (out.data.copy(), _module_grads(net, [h, r]),
                     rng.bit_generator.state)
-        self._assert_rgcn_parity(build, calls, [("add", True)] * 2)
+        self._assert_rgcn_parity(build, [("add", True)] * 2)
 
     @pytest.mark.parametrize("training", [False, True])
-    def test_rgcn_layer_without_activation(self, training, monkeypatch):
-        calls = _spy_on_relational_pass(monkeypatch)
-
+    def test_rgcn_layer_without_activation(self, training):
         def build():
             rng = np.random.default_rng(SEED)
             layer = RGCNLayer(DIM, rng, activation=False)
@@ -147,7 +166,7 @@ class TestGraphLayers:
             _backward_sq(out)
             return (out.data.copy(), _module_grads(layer, [h, r]),
                     rng.bit_generator.state)
-        self._assert_rgcn_parity(build, calls, [("add", False)])
+        self._assert_rgcn_parity(build, [("add", False)])
 
     @pytest.mark.parametrize("composition", ["sub", "mult"])
     def test_compgcn_stack(self, composition):
@@ -279,7 +298,7 @@ class TestDecoder:
     @pytest.mark.parametrize("training", [False, True])
     def test_convtranse_production_shape(self, training):
         """Paper-sized decoder (dim 32, 50 kernels, ~160 queries) through
-        the folded gather: forward bitwise equal to the legacy
+        the folded gather: forward bitwise equal to the generic
         ``transform(...) @ cand.T``, same RNG draws, gradients within
         tolerance, and a backward that can be replayed bitwise (the
         kernel's in-place ops never touch what the forward saved)."""
@@ -299,9 +318,8 @@ class TestDecoder:
             if fast:
                 out = dec.forward_indexed(ent, rels, cand, si, ri)
             else:
-                with legacy_kernels():
-                    out = dec.transform(index_select(ent, si),
-                                        index_select(rels, ri)) @ cand.T
+                out = dec.transform(index_select(ent, si),
+                                    index_select(rels, ri)) @ cand.T
             state = dec._rng.bit_generator.state
             out.backward(upstream)
             tensors = [ent, rels, cand] + [p for _, p in
@@ -333,13 +351,7 @@ class TestLossKernels:
             rels0 = _tensor(rng, (5, DIM))
             qs = rng.integers(0, NODES, size=9)
             qr = rng.integers(0, 5, size=9)
-            from repro.perf import FLAGS
-            if FLAGS.fused_kernels:
-                loss = contrast.fused_loss(local, rels, glob, rels0, qs, qr)
-            else:
-                z_l = contrast.project_local(local, rels, qs, qr)
-                z_g = contrast.project_global(glob, rels0, qs, qr)
-                loss = contrast(z_l, z_g)
+            loss = contrast(local, rels, glob, rels0, qs, qr)
             loss.backward()
             return loss.data.copy(), _module_grads(
                 contrast, [local, rels, glob, rels0])
@@ -348,7 +360,7 @@ class TestLossKernels:
     def test_query_contrast_single_query_is_zero(self):
         rng = np.random.default_rng(SEED)
         contrast = QueryContrastModule(DIM, rng, temperature=0.1)
-        loss = contrast.fused_loss(
+        loss = contrast(
             _tensor(rng, (NODES, DIM)), _tensor(rng, (5, DIM)),
             _tensor(rng, (NODES, DIM)), _tensor(rng, (5, DIM)),
             np.array([3]), np.array([1]))
@@ -363,11 +375,21 @@ class TestLossKernels:
         fused = fused_multilabel_loss(a, labels)
         fused.backward()
         b = Tensor(logits_data.copy(), requires_grad=True)
-        with legacy_kernels():
-            legacy = F.multilabel_soft_loss(b, labels)
-        legacy.backward()
-        np.testing.assert_array_equal(fused.data, legacy.data)
+        ref = reference_ops.fused_multilabel_loss(b, labels)
+        ref.backward()
+        np.testing.assert_array_equal(fused.data, ref.data)
         np.testing.assert_allclose(a.grad, b.grad, rtol=1e-6, atol=1e-7)
+
+    def test_multihot_labels(self):
+        rng = np.random.default_rng(SEED)
+        subjects = rng.integers(0, 4, size=20)
+        relations = rng.integers(0, 3, size=20)
+        objects = rng.integers(0, NODES, size=20)
+        np.testing.assert_array_equal(
+            model_module._multihot_labels(subjects, relations, objects,
+                                          NODES),
+            reference_ops._multihot_labels(subjects, relations, objects,
+                                           NODES))
 
     def test_blend(self):
         rng = np.random.default_rng(SEED)
@@ -377,7 +399,7 @@ class TestLossKernels:
         out = fused_blend(a1, b1, 0.9)
         _backward_sq(out)
         a2, b2 = Tensor(x.copy(), True), Tensor(y.copy(), True)
-        ref = a2 * 0.9 + b2 * (1.0 - 0.9)
+        ref = reference_ops.fused_blend(a2, b2, 0.9)
         _backward_sq(ref)
         np.testing.assert_array_equal(out.data, ref.data)
         np.testing.assert_allclose(a1.grad, a2.grad, rtol=1e-6, atol=1e-7)
@@ -416,16 +438,17 @@ class TestModelLevel:
 
         if fast:
             return run()
-        with legacy_kernels():
+        with pytest.MonkeyPatch.context() as mp:
+            use_reference_ops(mp)
             return run()
 
     @pytest.mark.parametrize("joint", [False, True])
     def test_training_losses_bitwise(self, joint):
         losses_fast, grads_fast = self._losses_and_grads(True, joint)
-        losses_legacy, grads_legacy = self._losses_and_grads(False, joint)
-        assert losses_fast == losses_legacy
-        for name in grads_legacy:
-            ref = grads_legacy[name]
+        losses_ref, grads_ref = self._losses_and_grads(False, joint)
+        assert losses_fast == losses_ref
+        for name in grads_ref:
+            ref = grads_ref[name]
             scale = max(float(np.max(np.abs(ref))), 1e-8)
             np.testing.assert_allclose(grads_fast[name] / scale, ref / scale,
                                        rtol=0, atol=1e-5, err_msg=name)
@@ -445,12 +468,13 @@ class TestModelLevel:
                 if fast:
                     out.append(model.predict_on(batch))
                 else:
-                    with legacy_kernels():
+                    with pytest.MonkeyPatch.context() as mp:
+                        use_reference_ops(mp)
                         out.append(model.predict_on(batch))
             return out
 
-        for fast_scores, legacy_scores in zip(scores(True), scores(False)):
-            np.testing.assert_array_equal(fast_scores, legacy_scores)
+        for fast_scores, ref_scores in zip(scores(True), scores(False)):
+            np.testing.assert_array_equal(fast_scores, ref_scores)
 
 
 class TestJointBatches:

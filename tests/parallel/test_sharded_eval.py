@@ -43,11 +43,6 @@ class TestEvaluateParity:
         evaluate(model, dataset, "test", records=sharded_records, workers=2)
         assert sharded_records == serial_records
 
-    def test_unbatched_kernel_matches_too(self, model, dataset):
-        serial = evaluate(model, dataset, "test", batched=False, workers=1)
-        sharded = evaluate(model, dataset, "test", batched=False, workers=2)
-        assert sharded == serial
-
     def test_valid_split(self, model, dataset):
         serial = evaluate(model, dataset, "valid", workers=1)
         sharded = evaluate(model, dataset, "valid", workers=2)

@@ -275,6 +275,7 @@ class TestSparseWindows:
 class TestRankQueries:
     def test_matches_per_query_filter_and_rank(self, logcl, dataset):
         from repro.eval.metrics import rank_of_target
+        from tests.tkg.reference_filter import ReferenceTimeAwareFilter
         engine = _fresh_engine(logcl, dataset)
         t = int(dataset.test.timestamps()[0])
         facts = dataset.test.at_time(t).array
@@ -282,8 +283,11 @@ class TestRankQueries:
         targets = facts[:, 2].copy()
         ranks = engine.rank_queries(subjects, relations, targets, time=t)
         scores = engine.predict(subjects, relations, time=t)
+        oracle = ReferenceTimeAwareFilter(
+            [quads.with_inverses(dataset.num_relations)
+             for quads in dataset.splits().values()])
         expected = [rank_of_target(
-            engine.filter.filter_scores(row, int(s), int(r), t, int(o)),
+            oracle.filter_scores(row, int(s), int(r), t, int(o)),
             int(o)) for row, s, r, o in zip(scores, subjects, relations,
                                             targets)]
         np.testing.assert_array_equal(ranks, expected)

@@ -131,6 +131,59 @@ class TestBatchedPredict:
             protocol.handle_request(engine, {"op": "nope"})
 
 
+class TestStrictOptions:
+    """``filtered`` takes only JSON booleans, ``topk`` only integers.
+
+    Coercion would turn ``"filtered": "false"`` into filtered results
+    and ``"topk": 1.9`` into one result; both are request errors.
+    """
+
+    @staticmethod
+    def _request(engine, op, **options):
+        request = {"op": op,
+                   "queries": [[0, 0, 1]] if op == "rank" else [[0, 0]]}
+        if op != "forecast":
+            request["time"] = engine.next_time
+        request.update(options)
+        return request
+
+    @pytest.mark.parametrize("op", ["predict", "rank", "forecast"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+    def test_non_boolean_filtered_rejected(self, served, op, value):
+        engine, _ = served
+        request = self._request(engine, op, filtered=value)
+        with pytest.raises(protocol.RequestError,
+                           match="filtered must be a JSON boolean") as exc:
+            protocol.handle_request(engine, request)
+        assert exc.value.op == op
+        assert protocol.error_response(exc.value, request)["op"] == op
+
+    @pytest.mark.parametrize("op", ["predict", "forecast"])
+    @pytest.mark.parametrize("value", [1.9, 2.0, True, False, "3", None])
+    def test_non_integer_topk_rejected(self, served, op, value):
+        engine, _ = served
+        with pytest.raises(protocol.RequestError,
+                           match="topk must be an integer"):
+            protocol.handle_request(engine,
+                                    self._request(engine, op, topk=value))
+
+    @pytest.mark.parametrize("op", ["predict", "rank", "forecast"])
+    def test_boolean_filtered_accepted(self, served, op):
+        engine, _ = served
+        for value in (True, False):
+            response = protocol.handle_request(
+                engine, self._request(engine, op, filtered=value, topk=3))
+            assert response["ok"] is True
+            if op == "rank":
+                assert response["filtered"] is value
+
+    def test_integer_topk_sets_result_count(self, served):
+        engine, _ = served
+        response = protocol.handle_request(
+            engine, self._request(engine, "predict", topk=2))
+        assert len(response["results"][0]) == 2
+
+
 class TestErrorOpAttribution:
     """Error payloads always name the op they belong to (or "<none>")."""
 

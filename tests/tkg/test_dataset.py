@@ -8,6 +8,9 @@ from repro.tkg import (QuadrupleSet, Snapshot, StaticFilter, TKGDataset,
                        load_benchmark_directory, load_quadruple_file,
                        save_benchmark_directory, save_quadruple_file)
 
+from tests.tkg.reference_filter import (ReferenceStaticFilter,
+                                        ReferenceTimeAwareFilter)
+
 
 def tiny_dataset():
     train = QuadrupleSet.from_quads([
@@ -104,29 +107,43 @@ class TestFilters:
         assert filt.true_objects(0, 0, 1) == {3}
         assert filt.true_objects(0, 0, 9) == frozenset()
 
+    @staticmethod
+    def _masked(filt, scores, s, r, t, target):
+        rows, cols = filt.mask_indices_for_batch([s], [r], t, [target])
+        out = scores.copy()
+        out[cols] = -np.inf
+        return out, len(rows)
+
     def test_time_aware_filter_scores_keeps_target(self):
         facts = QuadrupleSet.from_quads([(0, 0, 1, 0), (0, 0, 2, 0)])
-        filt = TimeAwareFilter([facts])
         scores = np.array([0.1, 0.9, 0.8, 0.2])
-        out = filt.filter_scores(scores, 0, 0, 0, target=1)
+        out, _ = self._masked(TimeAwareFilter([facts]), scores, 0, 0, 0, 1)
         assert out[1] == 0.9            # gold entity keeps its score
         assert out[2] == -np.inf        # competing truth removed
         assert out[0] == 0.1 and out[3] == 0.2
+        np.testing.assert_array_equal(
+            out, ReferenceTimeAwareFilter([facts]).filter_scores(
+                scores, 0, 0, 0, target=1))
 
     def test_time_aware_filter_no_copy_when_nothing_filtered(self):
+        """An empty mask: the ranking kernel then ranks the row as is."""
         facts = QuadrupleSet.from_quads([(0, 0, 1, 0)])
-        filt = TimeAwareFilter([facts])
         scores = np.array([0.5, 0.5])
-        out = filt.filter_scores(scores, 0, 0, 0, target=1)
-        assert out is scores
+        out, struck = self._masked(TimeAwareFilter([facts]), scores,
+                                   0, 0, 0, 1)
+        assert struck == 0
+        np.testing.assert_array_equal(out, scores)
 
     def test_static_filter_spans_time(self):
         facts = QuadrupleSet.from_quads([(0, 0, 1, 0), (0, 0, 2, 7)])
         filt = StaticFilter([facts])
         assert filt.true_objects(0, 0) == {1, 2}
         scores = np.array([0.0, 0.4, 0.6])
-        out = filt.filter_scores(scores, 0, 0, target=1)
+        out, _ = self._masked(filt, scores, 0, 0, 3, 1)
         assert out[2] == -np.inf
+        np.testing.assert_array_equal(
+            out, ReferenceStaticFilter([facts]).filter_scores(
+                scores, 0, 0, target=1))
 
 
 class TestVocabulary:

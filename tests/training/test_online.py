@@ -1,10 +1,9 @@
 """Regression tests for the online-learning protocol.
 
-PR 2 replaced the offline evaluator's per-query filtered ranking with
-the batched kernel; the online pass now routes through the same kernel
-(``repro.eval.ranking``).  These tests pin the two fixed bug classes:
-the legacy per-query loop lingering in ``evaluate_online`` and the
-unconditional ``model.eval()`` clobbering the caller's mode.
+The online pass ranks through the offline evaluator's batched kernel
+(``repro.eval.ranking``).  These tests hold it bitwise to the per-query
+oracle of ``tests/eval/reference_protocol.py`` and pin the fixed bug
+of an unconditional ``model.eval()`` clobbering the caller's mode.
 """
 
 import numpy as np
@@ -14,6 +13,8 @@ from repro import OnlineConfig, Telemetry, evaluate_online
 from repro.datasets import tiny
 from repro.registry import build_model
 
+from tests.eval.reference_protocol import reference_evaluate_online
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -22,20 +23,19 @@ def dataset():
 
 class TestBatchedParity:
     def test_batched_matches_legacy_bitwise(self, dataset):
-        """The batched kernel reproduces the legacy loop's metric row.
+        """The batched kernel reproduces the per-query oracle's row.
 
         Each run starts from an identically seeded model, so the
         adaptation trajectory is the same and any difference would come
         from the ranking path — of which there must be none, bitwise.
         """
-        def run(batched):
-            model = build_model("distmult", dataset, dim=8, seed=0)
-            return evaluate_online(model, dataset, OnlineConfig(window=2),
-                                   batched=batched)
-        batched = run(batched=True)
-        legacy = run(batched=False)
-        assert batched == legacy          # exact float equality, whole row
-        assert batched["count"] == 2 * len(dataset.test)
+        config = OnlineConfig(window=2)
+        online = evaluate_online(
+            build_model("distmult", dataset, dim=8, seed=0), dataset, config)
+        oracle = reference_evaluate_online(
+            build_model("distmult", dataset, dim=8, seed=0), dataset, config)
+        assert online == oracle           # exact float equality, whole row
+        assert online["count"] == 2 * len(dataset.test)
 
     def test_parity_holds_for_trained_model(self, dataset):
         """Same check on a non-degenerate scorer (ties broken by data)."""
@@ -44,13 +44,10 @@ class TestBatchedParity:
         Trainer(TrainConfig(epochs=2, eval_every=2, window=2)).fit(
             model, dataset)
         state = model.state_dict()
-
-        def run(batched):
-            model.load_state_dict(state)
-            return evaluate_online(model, dataset,
-                                   OnlineConfig(window=2, lr=0.0),
-                                   batched=batched)
-        assert run(batched=True) == run(batched=False)
+        config = OnlineConfig(window=2, lr=0.0)
+        online = evaluate_online(model, dataset, config)
+        model.load_state_dict(state)
+        assert online == reference_evaluate_online(model, dataset, config)
 
 
 class TestModeRestore:
