@@ -89,11 +89,11 @@ def _run():
                  for quads in dataset.splits().values()]
     time_filter = TimeAwareFilter(augmented)
 
-    legacy_s, legacy_metrics = _timed(_per_query_pass, time_filter,
-                                      batches, REPEATS)
+    per_query_s, per_query_metrics = _timed(_per_query_pass, time_filter,
+                                            batches, REPEATS)
     batched_s, batched_metrics = _timed(_batched_pass, time_filter,
                                         batches, REPEATS)
-    assert batched_metrics == legacy_metrics, (
+    assert batched_metrics == per_query_metrics, (
         "batched and per-query kernels disagree on the metric row")
 
     return {
@@ -101,7 +101,7 @@ def _run():
         "num_queries": num_queries,
         "num_entities": dataset.num_entities,
         "timing_repeats": REPEATS,
-        "per_query_qps": num_queries / legacy_s,
+        "per_query_qps": num_queries / per_query_s,
         "batched_qps": num_queries / batched_s,
         "metrics": {k: round(v, 6) for k, v in batched_metrics.items()},
     }
