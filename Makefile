@@ -3,12 +3,14 @@
 .PHONY: install test test-fast bench bench-table3 serve-bench \
 	serve-daemon-bench serve-replica-bench eval-bench history-bench \
 	train-telemetry-bench parallel-bench data-bench \
-	anomaly-bench perf-record perf-compare profile-train trace-demo \
-	experiments clean-cache docs-test lint lint-private lint-docstrings \
+	anomaly-bench perf-record perf-compare profile-train profile-eval \
+	trace-demo experiments clean-cache docs-test lint lint-private \
+	lint-docstrings \
 	lint-dtype docs-linkcheck
 
 OUT ?= perf_runs.json
 EPOCHS ?= 3
+PASSES ?= 10
 
 install:
 	pip install -e .
@@ -60,6 +62,9 @@ perf-compare:  ## verdict per workload x metric: make perf-compare PARENT=a.json
 
 profile-train:  ## cProfile of $(EPOCHS) warm LogCL epochs (icews14_like, dim 32), top functions by self time
 	PYTHONPATH=src python tools/profile_train.py --epochs $(EPOCHS)
+
+profile-eval:  ## $(PASSES) cold eval-gdelt-shape passes: median ms and page faults per pass, per-stage split, top functions by self time
+	PYTHONPATH=src python tools/profile_eval.py --passes $(PASSES)
 
 docs-test:  ## executable docs: every fenced python block + every example script
 	PYTHONPATH=src python tools/run_doc_snippets.py

@@ -87,7 +87,25 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """``concatenate([arange(a, b) for a, b in zip(starts, stops)])``."""
     lengths = stops - starts
     shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return shift + np.arange(len(shift))
+    shift += np.arange(len(shift))
+    return shift
+
+
+def _marked_unique(marker: np.ndarray,
+                   parts: Sequence[Tuple[int, np.ndarray]]) -> np.ndarray:
+    """Distinct values of ``offset + values`` over ``parts``, ascending:
+    ``_sorted_unique`` of their concatenation without a sort.
+
+    ``marker`` is an all-False bool array longer than every value (the
+    values are non-negative).  Each value sets its mark, the marks are
+    read back in order and the array is cleared again: O(n +
+    len(marker)) time, and nothing allocated beyond the result.
+    """
+    for offset, values in parts:
+        marker[offset:][values] = True
+    unique = np.flatnonzero(marker)
+    marker.fill(False)
+    return unique
 
 
 def _pair_keys(subjects: np.ndarray, relations: np.ndarray) -> np.ndarray:
@@ -103,27 +121,35 @@ def _dedupe_triples(src: np.ndarray, rel: np.ndarray, dst: np.ndarray
 
     Row-wise ``np.unique(axis=0)`` views each row as a void scalar and
     sorts structured records; on the subgraph hot path that single call
-    was ~40% of eval wall-clock.  Encoding each triple as the integer
-    ``(s * M_r + r) * M_d + d`` (``M_*`` = per-column exclusive upper
-    bounds) is monotone in the row-lexicographic order, so a plain 1-D
-    unique over the keys yields exactly the same rows in the same order,
-    an order of magnitude faster.  Returns ``None`` when the key space
-    would overflow int64 (caller falls back to the row-wise path; ids at
-    icews scale are nowhere near the bound).
+    was ~40% of eval wall-clock.  Each column is shifted to start at 0
+    and packed into its own bit field, ``(s << (w_r + w_d)) | (r << w_d)
+    | d`` (``w_*`` = the bit width of a column's span).  The key is
+    monotone in the row-lexicographic order, so a plain 1-D unique over
+    the keys yields exactly the same rows in the same order, an order of
+    magnitude faster, and masks and shifts unpack it.  Returns ``None``
+    when the fields need more than 63 bits (caller falls back to the
+    row-wise path; ids at icews scale are nowhere near the bound).
     """
-    s = src.astype(np.int64)
-    r = rel.astype(np.int64)
-    d = dst.astype(np.int64)
-    max_s = int(s.max()) + 1
-    max_r = int(r.max()) + 1
-    max_d = int(d.max()) + 1
-    if max_s * max_r * max_d > 2 ** 63 - 1:  # python ints: no silent wrap
+    columns = (src, rel, dst)
+    lows = [int(col.min()) for col in columns]
+    widths = [(int(col.max()) - low).bit_length()
+              for col, low in zip(columns, lows)]
+    if sum(widths) > 63:
         return None
-    keys = _sorted_unique((s * max_r + r) * max_d + d)
-    sr, out_dst = np.divmod(keys, max_d)
-    out_src, out_rel = np.divmod(sr, max_r)
-    return (out_src.astype(FACT_DTYPE), out_rel.astype(FACT_DTYPE),
-            out_dst.astype(FACT_DTYPE))
+    keys = src.astype(np.int64)
+    keys -= lows[0]
+    field = np.empty_like(keys)
+    for col, low, width in zip(columns[1:], lows[1:], widths[1:]):
+        field[:] = col
+        field -= low
+        keys <<= width
+        keys |= field
+    keys = _sorted_unique(keys)
+    unpacked = []
+    for low, width in zip(lows[::-1], widths[::-1]):
+        unpacked.append(((keys & ((1 << width) - 1)) + low).astype(FACT_DTYPE))
+        keys >>= width
+    return unpacked[2], unpacked[1], unpacked[0]
 
 
 # Key layout of :class:`_EntityRows`: ``entity * 2**32 + side + row``
@@ -165,11 +191,14 @@ class _EntityRows:
         if len(subjects) > _OBJECT_RUN:
             raise ValueError(f"a storage region holds at most {_OBJECT_RUN} "
                              f"facts, got {len(subjects)}")
-        rows = np.arange(self.size, len(subjects), dtype=np.int64)
-        new = np.concatenate([
-            subjects[self.size:].astype(np.int64) * _ENTITY_STRIDE + rows,
-            objects[self.size:].astype(np.int64) * _ENTITY_STRIDE
-            + (_OBJECT_RUN + rows)])
+        count = len(subjects) - self.size
+        new = np.empty(2 * count, dtype=np.int64)
+        offsets = np.arange(self.size, len(subjects), dtype=np.int64)
+        for keys, column in ((new[:count], subjects), (new[count:], objects)):
+            keys[:] = column[self.size:]
+            keys *= _ENTITY_STRIDE
+            keys += offsets
+            offsets += _OBJECT_RUN      # side + row of the object run
         new.sort()
         if self.size:
             new = np.insert(self.keys, np.searchsorted(self.keys, new), new)
@@ -192,9 +221,10 @@ class _EntityRows:
     def rows_of(self, entities: np.ndarray, rows: int) -> np.ndarray:
         """Rows below ``rows`` with one of ``entities`` (int64) as subject
         or object; a row may repeat."""
-        return np.concatenate([self._run_keys(entities, rows),
-                               self._run_keys(entities, rows, _OBJECT_RUN)]
-                              ) & _ROW_MASK
+        keys = np.concatenate([self._run_keys(entities, rows),
+                               self._run_keys(entities, rows, _OBJECT_RUN)])
+        keys &= _ROW_MASK
+        return keys
 
     def answers(self, subjects: np.ndarray, rows: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,6 +260,8 @@ class GlobalHistoryIndex:
         # Entity -> rows CSRs, built on first use (see "Storage model").
         self._base_csr: Optional[_EntityRows] = None
         self._tail_csr = _EntityRows(first_row=self._base_size)
+        # All False between calls of :func:`_marked_unique`.
+        self._row_marker = np.zeros(0, dtype=bool)
 
     @classmethod
     def empty(cls) -> "GlobalHistoryIndex":
@@ -518,9 +550,15 @@ class GlobalHistoryIndex:
         # Seeds: the subjects (G'_g1) plus their historical answers (G'_g2).
         seeds = _sorted_unique(np.concatenate([
             pairs[:, 0], self._answers(pairs[:, 0], pairs[:, 1])[2]]))
-        ids = _sorted_unique(np.concatenate(
-            [region.first_row + region.rows_of(seeds, rows)
-             for region, rows in regions]))
+        # Row ids are bounded by the cursor, so a reusable bool marker
+        # over [0, cursor) uniques them with no sort (one byte per
+        # indexed row).
+        if len(self._row_marker) < self._cursor:
+            self._row_marker = np.zeros(self._base_size + self._tail_size,
+                                        dtype=bool)
+        ids = _marked_unique(self._row_marker[:self._cursor],
+                             [(region.first_row, region.rows_of(seeds, rows))
+                              for region, rows in regions])
         if not len(ids):
             return empty, empty.copy(), empty.copy()
 

@@ -44,11 +44,6 @@ class TimeEncoding(Module):
             (time_dim, entity_dim), rng)
         self.w_fuse = Parameter(fuse)
 
-    def encode_interval(self, interval: int) -> Tensor:
-        """phi(d): a ``(time_dim,)`` feature for one interval."""
-        d = Tensor(np.asarray(float(interval), dtype=self.w_t.dtype))
-        return (self.w_t * d + self.b_t).cos()
-
     def forward(self, h: Tensor, interval: int) -> Tensor:
         """Fuse phi(t_q - t_i) into every row of the entity matrix ``h``."""
         return fused_time_fuse(h, self.w_t, self.b_t, self.w_fuse, interval)

@@ -206,11 +206,14 @@ def map_columns(path: str) -> Tuple[StoreInfo, dict]:
     """Memory-map a store file's sections as read-only array views.
 
     Returns the header info plus ``{name: array}`` for the six sections.
-    The arrays are views into one shared ``np.memmap``; they hold a
-    reference to it, so the mapping lives as long as any view does.
+    The arrays are plain ``ndarray`` views into one shared ``np.memmap``;
+    they hold a reference to it, so the mapping lives as long as any
+    view does.  Plain views keep every slice and gather downstream off
+    the ``np.memmap`` subclass's Python-level ``__getitem__`` and
+    ``__array_finalize__``.
     """
     info = read_info(path)
-    mapped = np.memmap(path, dtype=np.uint8, mode="r")
+    mapped = np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
     sections, _total = _layout(info.num_facts, info.num_snapshots)
     arrays = {}
     for name, dtype, offset, count in sections:

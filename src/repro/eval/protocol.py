@@ -204,6 +204,10 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
             with telemetry.span("rank"):
                 ranks = batch_ranks_vectorized(scores, batch, time_filter,
                                                static_filter)
+            # Free this batch's (Q, |E|) scores before the next forward
+            # allocates its own: a lower peak, so the allocator keeps the
+            # freed pages instead of returning and re-faulting them.
+            del scores
             accumulator.add_ranks(ranks)
             telemetry.incr("queries_evaluated", len(batch))
             if records is not None:

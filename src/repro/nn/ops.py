@@ -214,10 +214,11 @@ def index_select(source: Tensor, index: IndexLike) -> Tensor:
     """Gather rows of ``source`` (axis 0) — the embedding-lookup primitive.
 
     Equivalent to ``source[index]`` but kept as a named op for clarity at
-    message-passing call sites.
+    message-passing call sites.  ``np.take`` copies the same rows about
+    twice as fast as fancy indexing on 2-D sources.
     """
     idx = _index_array(index)
-    out_data = source.data[idx]
+    out_data = np.take(source.data, idx, axis=0)
     num_rows = source.shape[0]
 
     def backward(grad: np.ndarray) -> None:
@@ -349,12 +350,15 @@ def l2_normalize(t: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     norm = np.sqrt((t.data ** 2).sum(axis=axis, keepdims=True))
     degenerate = norm < eps
     safe_norm = np.maximum(norm, eps)
-    out_data = np.where(degenerate, 0.0, t.data / safe_norm)
+    out_data = t.data / safe_norm
+    _zero_degenerate(out_data, degenerate)
 
     def backward(grad: np.ndarray) -> None:
         dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        t._accumulate(np.where(degenerate, 0.0,
-                               (grad - out_data * dot) / safe_norm))
+        g = grad - out_data * dot
+        g /= safe_norm
+        _zero_degenerate(g, degenerate)
+        t._accumulate(g)
 
     return Tensor._make(out_data, (t,), backward)
 
@@ -387,19 +391,52 @@ def rrelu(t: Tensor, lower: float = 1.0 / 8.0, upper: float = 1.0 / 3.0,
     During training the negative-side slope is sampled uniformly from
     ``[lower, upper]`` per element; at eval it is fixed to the mean slope,
     matching PyTorch's ``RReLU`` semantics (one scalar, same products as
-    a full slope array).
+    a full slope array).  Requires ``0 < lower <= upper <= 1`` (raises
+    ``ValueError`` otherwise): the branch-free kernel below is exact
+    only for slopes in that range.
     """
-    if training:
-        rng = rng or np.random.default_rng()
-        slope = rng.uniform(lower, upper, size=t.shape).astype(t.data.dtype)
-    else:
-        slope = t.data.dtype.type((lower + upper) / 2.0)
-    out_data = np.where(t.data >= 0, t.data, slope * t.data)
+    slope = _rrelu_slope(t.data, lower, upper, training, rng)
+    out_data = _rrelu_forward(t.data, slope)
 
     def backward(grad: np.ndarray) -> None:
-        t._accumulate(grad * np.where(t.data >= 0, 1.0, slope))
+        t._accumulate(grad * _rrelu_factor(t.data, slope))
 
     return Tensor._make(out_data, (t,), backward)
+
+
+def _rrelu_slope(pre: np.ndarray, lower: float, upper: float,
+                 training: bool, rng: Optional[np.random.Generator]):
+    """The negative-side slope of :func:`rrelu`: one uniform draw per
+    element while training, the mean slope (a scalar) at eval."""
+    if not 0.0 < lower <= upper <= 1.0:
+        raise ValueError(f"rrelu needs 0 < lower <= upper <= 1, got "
+                         f"lower={lower}, upper={upper}")
+    if training:
+        rng = rng or np.random.default_rng()
+        return rng.uniform(lower, upper, size=pre.shape).astype(pre.dtype)
+    return pre.dtype.type((lower + upper) / 2.0)
+
+
+# Branch-free leaky activation.  For a slope in (0, 1], ``slope * x``
+# lies between x and 0 (rounding is monotone), so
+# ``maximum(x, slope * x)`` is x for x >= 0 and ``slope * x`` below
+# zero: bitwise ``where(x >= 0, x, slope * x)``, including ±0, ±inf,
+# NaN and subnormals, at a tenth of the cost.  The derivative
+# ``where(x >= 0, 1, slope)`` is likewise ``maximum(slope, x >= 0)``.
+def _rrelu_forward(pre: np.ndarray, slope) -> np.ndarray:
+    act = slope * pre
+    return np.maximum(pre, act, out=act)
+
+
+def _rrelu_factor(pre: np.ndarray, slope) -> np.ndarray:
+    return np.maximum(slope, pre >= 0)
+
+
+def _zero_degenerate(values: np.ndarray, degenerate: np.ndarray) -> None:
+    """``values = np.where(degenerate, 0.0, values)`` in place, without a
+    second full-size array (``degenerate`` broadcasts to ``values``)."""
+    if degenerate.any():
+        values[np.broadcast_to(degenerate, values.shape)] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +539,9 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Ten
 # (closure allocation, topo-sort bookkeeping, _unbroadcast checks)
 # dominates the arithmetic.  Each fused op below collapses one hot
 # sub-graph of the LogCL encoder into a single Tensor node whose forward
-# replays the generic path's numpy expressions in the same order —
-# eval-mode outputs are bitwise identical, and the training forward
+# replays the generic path's numpy operations in the same order (in
+# place only where that keeps them the same operations) — eval-mode
+# outputs are bitwise identical, and the training forward
 # draws from the RNG in the same order/shapes so sampled slopes and
 # dropout masks match too.  The handwritten backwards are analytically
 # equal but may differ in float summation order, so gradients agree to
@@ -529,27 +567,27 @@ def fused_relational_pass(h: Tensor, r: Tensor, w_message: Tensor,
     intermediate Tensor nodes.
     """
     hd, rd = h.data, r.data
-    h_src = hd[src]
-    r_edge = rd[rel]
+    h_src = np.take(hd, src, axis=0)
+    r_edge = np.take(rd, rel, axis=0)
+    # Add and sub compose in place into the fresh gather; the backward
+    # of mult still needs ``h_src``.
     if composition == "add":
-        composed = h_src + r_edge
+        composed = np.add(h_src, r_edge, out=h_src)
     elif composition == "sub":
-        composed = h_src - r_edge
+        composed = np.subtract(h_src, r_edge, out=h_src)
     elif composition == "mult":
         composed = h_src * r_edge
     else:
         raise ValueError(f"unknown composition '{composition}'")
     messages = composed @ w_message.data
     norm = degree_norm(dst, num_nodes, messages.dtype)
-    aggregated = _scatter_add_rows(dst, messages, num_nodes) * norm[:, None]
-    pre = aggregated + hd @ w_self.data
+    aggregated = _scatter_add_rows(dst, messages, num_nodes)
+    aggregated *= norm[:, None]
+    pre = hd @ w_self.data
+    pre += aggregated            # IEEE addition commutes: same bits
     if activation:
-        if training:
-            rng = rng or np.random.default_rng()
-            slope = rng.uniform(lower, upper, size=pre.shape).astype(pre.dtype)
-        else:
-            slope = pre.dtype.type((lower + upper) / 2.0)
-        act = np.where(pre >= 0, pre, slope * pre)
+        slope = _rrelu_slope(pre, lower, upper, training, rng)
+        act = _rrelu_forward(pre, slope)
     else:
         slope = None
         act = pre
@@ -557,18 +595,18 @@ def fused_relational_pass(h: Tensor, r: Tensor, w_message: Tensor,
         rng = rng or np.random.default_rng()
         keep = 1.0 - dropout_rate
         mask = (rng.random(act.shape) < keep).astype(act.dtype) / keep
-        out_data = act * mask
+        act *= mask              # fresh array; the backward keeps ``pre``
     else:
         mask = None
-        out_data = act
+    out_data = act
 
     def backward(grad: np.ndarray) -> None:
         g = grad * mask if mask is not None else grad
         if activation:
-            g = g * np.where(pre >= 0, 1.0, slope)
+            g = g * _rrelu_factor(pre, slope)
         if w_self.requires_grad:
             w_self._accumulate(hd.T @ g)
-        g_messages = (g * norm[:, None])[dst]
+        g_messages = np.take(g * norm[:, None], dst, axis=0)
         if w_message.requires_grad:
             w_message._accumulate(composed.T @ g_messages)
         g_composed = g_messages @ w_message.data.T
@@ -587,22 +625,37 @@ def fused_relational_pass(h: Tensor, r: Tensor, w_message: Tensor,
     return Tensor._make(out_data, (h, r, w_message, w_self), backward)
 
 
+def _sigmoid_inplace(pre: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-pre))``, the same operations in the same
+    order, written into the fresh array ``pre``."""
+    np.negative(pre, out=pre)
+    np.exp(pre, out=pre)
+    pre += 1.0
+    return np.divide(1.0, pre, out=pre)
+
+
 def fused_gru_step(x: Tensor, h: Tensor, w_x: Tensor, w_h: Tensor,
                    bias: Tensor, hidden_dim: int) -> Tensor:
     """One GRU cell update as a single autodiff node.
 
     Same gate math and ``[z | r | n]`` packed-weight layout as
-    ``repro.nn.recurrent.GRUCell.forward``; the sigmoids/tanh reuse its
-    exact numpy expressions so forward outputs are bitwise identical.
+    ``repro.nn.recurrent.GRUCell.forward``; the sigmoids/tanh run its
+    numpy operations in the same order, in place on fresh buffers, so
+    forward outputs are bitwise identical.
     """
     d = hidden_dim
     xd, hd = x.data, h.data
-    gx = xd @ w_x.data + bias.data
+    gx = xd @ w_x.data
+    gx += bias.data
     gh = hd @ w_h.data
-    z = 1.0 / (1.0 + np.exp(-(gx[:, :d] + gh[:, :d])))
-    rr = 1.0 / (1.0 + np.exp(-(gx[:, d:2 * d] + gh[:, d:2 * d])))
-    n = np.tanh(gx[:, 2 * d:] + rr * gh[:, 2 * d:])
-    out_data = (1.0 - z) * n + z * hd
+    z = _sigmoid_inplace(np.add(gx[:, :d], gh[:, :d]))
+    rr = _sigmoid_inplace(np.add(gx[:, d:2 * d], gh[:, d:2 * d]))
+    n = rr * gh[:, 2 * d:]
+    n += gx[:, 2 * d:]
+    np.tanh(n, out=n)
+    out_data = 1.0 - z
+    out_data *= n
+    out_data += z * hd
 
     def backward(grad: np.ndarray) -> None:
         pre_n = grad * (1.0 - z) * (1.0 - n * n)
@@ -750,11 +803,17 @@ def fused_local_attention(evolved: Tensor, snapshot_aggs: Sequence[Tensor],
     shifted = score_mat - score_mat.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     alpha = exp / exp.sum(axis=-1, keepdims=True)
-    stacked = np.stack(aggs, axis=1)
-    weighted = stacked * alpha.reshape(alpha.shape[0], alpha.shape[1], 1)
-    out_data = evolved.data + weighted.sum(axis=1)
+    # ``(stack(aggs, 1) * alpha[:, :, None]).sum(axis=1)`` without the
+    # (N, m, d) stack: numpy reduces that axis from zero in order, which
+    # the running ``total`` repeats product by product.
+    total = np.zeros(aggs[0].shape, dtype=np.result_type(aggs[0], alpha))
+    product = np.empty_like(total)
+    for i, agg in enumerate(aggs):
+        total += np.multiply(agg, alpha[:, i:i + 1], out=product)
+    out_data = np.add(evolved.data, total, out=total)
 
     def backward(grad: np.ndarray) -> None:
+        stacked = np.stack(aggs, axis=1)
         if evolved.requires_grad:
             evolved._accumulate(grad)
         g_stacked = alpha[:, :, None] * grad[:, None, :]
@@ -831,32 +890,38 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
     if drop:
         rng = rng or np.random.default_rng()
 
-    x = np.stack([sd, rd], axis=1)                             # (Q, 2, d)
+    # Stack the two rows straight into the zero-padded conv input.
+    pad_left = (kw - 1) // 2
+    padded = np.zeros((num_q, 2, dim + kw - 1), dtype=np.result_type(sd, rd))
+    x = padded[:, :, pad_left:pad_left + dim]                  # (Q, 2, d)
+    x[:, 0] = sd
+    x[:, 1] = rd
     if drop:
         mask1 = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-        x = x * mask1
-    pad_left = (kw - 1) // 2
-    pad_right = kw - 1 - pad_left
-    padded = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+        x *= mask1
     cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=2)
     cols = cols.transpose(0, 2, 1, 3).reshape(num_q * dim, 2 * kw)
     w2 = conv_w.data.reshape(num_k, 2 * kw)
-    feat = (cols @ w2.T).reshape(num_q, dim, num_k).transpose(0, 2, 1)
-    # The bias add writes C-order (Q, K, d) memory in the same pass; ReLU
-    # and the feature-map dropout then run in place, ``flat`` is a free
-    # reshape and the backward's masks are contiguous.  Same values as
-    # the strided-view expressions.
-    act1 = np.add(feat, conv_b.data[:, None], order="C")       # (Q, K, d)
+    # The bias add reads the (Q, d, K) conv output through a transposed
+    # view and writes C-order (Q, K, d) memory in the same pass (cheaper
+    # than any separate transpose copy); ReLU and the feature-map dropout
+    # then run in place, ``flat`` is a free reshape and the backward's
+    # masks are contiguous.  Same values as the strided-view
+    # expressions.  The conv output is dropped before the (Q, |E|)
+    # scores are allocated.
+    act1 = np.add((cols @ w2.T).reshape(num_q, dim, num_k).transpose(0, 2, 1),
+                  conv_b.data[:, None], order="C")             # (Q, K, d)
     np.maximum(act1, 0.0, out=act1)
     if drop:
         mask2 = (rng.random(act1.shape) < keep).astype(act1.dtype) / keep
         act1 *= mask2
     flat = act1.reshape(num_q, num_k * dim)
-    pre2 = flat @ fc_w.data + fc_b.data                        # (Q, d)
+    pre2 = flat @ fc_w.data                                    # (Q, d)
+    pre2 += fc_b.data
     act2 = np.maximum(pre2, 0.0)
     if drop:
         mask3 = (rng.random(act2.shape) < keep).astype(act2.dtype) / keep
-        act2 = act2 * mask3
+        act2 *= mask3
     out_data = act2 @ candidates.data.T                        # (Q, |E|)
 
     def backward(grad: np.ndarray) -> None:
@@ -910,12 +975,17 @@ def _l2_rows(z: np.ndarray, eps: float = 1e-12):
     norm = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
     degenerate = norm < eps
     safe = np.maximum(norm, eps)
-    return np.where(degenerate, 0.0, z / safe), degenerate, safe
+    out = z / safe
+    _zero_degenerate(out, degenerate)
+    return out, degenerate, safe
 
 
 def _l2_rows_backward(grad, out, degenerate, safe):
     dot = (grad * out).sum(axis=-1, keepdims=True)
-    return np.where(degenerate, 0.0, (grad - out * dot) / safe)
+    g = grad - out * dot
+    g /= safe
+    _zero_degenerate(g, degenerate)
+    return g
 
 
 def fused_query_contrast(local_agg: Tensor, local_rel: Tensor,

@@ -35,12 +35,13 @@ See ``docs/ops.md`` for the operator guide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..analysis.patterns import attribute_completions
+from ..analysis.patterns import attribute_completions, evidence_label
 from ..eval.metrics import ranks_of_targets
 from ..obs.drift import DriftMonitor
 
@@ -227,8 +228,10 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
     One batched :meth:`InferenceEngine.predict` forward scores the
     ``(subject, relation)`` queries (the fact batch is the forward
     batch), then each observed object's softmax probability and
-    mean-tie rank are read off the score matrix.  Evidence labels come
-    from the same provenance join the ``forecast`` op uses.
+    mean-tie rank are read off the score matrix.  Evidence labels are
+    the ``forecast`` op's provenance labels
+    (:func:`repro.analysis.patterns.attribute_completions`), joined for
+    every fact in one pass over the window snapshots.
     """
     subjects = np.ascontiguousarray(subjects, dtype=np.int64)
     relations = np.ascontiguousarray(relations, dtype=np.int64)
@@ -243,24 +246,55 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
                          f"[0, {engine.num_entities})")
     query_time = engine.next_time if time is None else int(time)
     scores = engine.predict(subjects, relations, time=query_time)
-    # softmax_rows(scores)[arange, objects] with one (Q, |E|) float64
-    # buffer, shifted and exponentiated in place, and only the gathered
-    # entries divided: the same float64 operations, so bitwise the same
-    # values.
-    exp = np.array(scores, dtype=np.float64, ndmin=2)
-    exp -= exp.max(axis=1, keepdims=True)
-    np.exp(exp, out=exp)
-    fact_probs = exp[np.arange(len(objects)), objects] / exp.sum(axis=1)
+    fact_probs = _fact_softmax(scores, objects)
     ranks = ranks_of_targets(scores, objects)
-    evidence = []
     snapshots = engine.window_before(query_time)
-    counts = engine.history_index_at(query_time).fact_counts(
+    global_counts = engine.history_index_at(query_time).fact_counts(
         subjects, relations, objects)
-    for s, r, o, count in zip(subjects.tolist(), relations.tolist(),
-                              objects.tolist(), counts.tolist()):
-        row = attribute_completions([o], s, r, snapshots, {o: count})[0]
-        evidence.append(str(row["evidence"]))
+    # The evidence join of attribute_completions (which stays the
+    # forecast op's per-query path), for every fact in one pass over
+    # the window: local_count is how often the exact (s, r, o) occurs
+    # in the window snapshots.
+    window = Counter()
+    for snapshot in snapshots:
+        window.update(zip(np.asarray(snapshot.src).tolist(),
+                          np.asarray(snapshot.rel).tolist(),
+                          np.asarray(snapshot.dst).tolist()))
+    evidence = []
+    for fact, total in zip(zip(subjects.tolist(), relations.tolist(),
+                               objects.tolist()), global_counts.tolist()):
+        local = window[fact]
+        evidence.append(evidence_label(local, max(total, local)))
     return FactScores(prob=fact_probs, rank=ranks, evidence=evidence)
+
+
+# float64 elements per row block of :func:`_fact_softmax` (1 MiB).
+_SOFTMAX_BLOCK = 1 << 17
+
+
+def _fact_softmax(scores: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """``softmax_rows(scores)[arange, objects]`` through one reused
+    float64 buffer of a few rows instead of a ``(Q, |E|)`` copy.
+
+    Each block is shifted and exponentiated in place and only the
+    gathered entries are divided.  Max and sum reduce each row on its
+    own, so these are the same float64 operations on the same values,
+    and the result is bitwise the same.
+    """
+    scores = np.atleast_2d(scores)
+    num_q, num_e = scores.shape
+    block = max(1, _SOFTMAX_BLOCK // max(num_e, 1))
+    buffer = np.empty((min(block, num_q), num_e), dtype=np.float64)
+    probs = np.empty(num_q, dtype=np.float64)
+    for start in range(0, num_q, block):
+        stop = min(start + block, num_q)
+        exp = buffer[:stop - start]
+        exp[...] = scores[start:stop]
+        exp -= exp.max(axis=1, keepdims=True)
+        np.exp(exp, out=exp)
+        probs[start:stop] = (exp[np.arange(stop - start),
+                                 objects[start:stop]] / exp.sum(axis=1))
+    return probs
 
 
 def score_response(engine, subjects: np.ndarray, relations: np.ndarray,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval import RankingAccumulator, rank_of_target
+from repro.eval import (RankingAccumulator, rank_of_target,
+                        ranks_of_targets)
 from repro.eval.protocol import FILTER_SETTINGS, evaluate, format_metric_row
 
 
@@ -29,6 +30,23 @@ class TestRank:
     def test_neg_inf_filtered_candidates_never_outrank(self):
         scores = np.array([-np.inf, 0.3, -np.inf])
         assert rank_of_target(scores, 1) == 1
+
+    def test_nan_target_score_has_no_rank(self):
+        """A NaN compares with nothing: it used to rank 0.5 (reciprocal
+        rank 2, so MRR could pass 100 %)."""
+        scores = np.array([0.1, np.nan, 0.5], dtype=np.float32)
+        with pytest.raises(ValueError, match="NaN score for target 1"):
+            rank_of_target(scores, 1)
+        assert rank_of_target(scores, 2) == 1   # NaN elsewhere: no effect
+
+    def test_nan_target_rows_named(self):
+        scores = np.zeros((4, 3), dtype=np.float32)
+        scores[1, 2] = scores[3, 0] = np.nan
+        scores[2, :] = -np.inf                   # filtered target: legal
+        with pytest.raises(ValueError, match=r"query rows \[1, 3\]"):
+            ranks_of_targets(scores, [0, 2, 1, 0])
+        np.testing.assert_array_equal(
+            ranks_of_targets(scores[[0, 2]], [0, 1]), [2.0, 2.0])
 
 
 class TestAccumulator:
@@ -123,7 +141,24 @@ class _AntiOracleModel(_OracleModel):
         return scores
 
 
+class _NaNTargetModel(_OracleModel):
+    """The oracle, except that every third query's gold score is NaN."""
+
+    def predict_on(self, batch):
+        scores = super().predict_on(batch)
+        rows = np.arange(0, len(batch), 3)
+        scores[rows, batch.objects[rows]] = np.nan
+        return scores
+
+
 class TestProtocol:
+    def test_nan_target_score_raises(self):
+        from repro.datasets import tiny
+        ds = tiny()
+        with pytest.raises(ValueError, match=r"NaN target score in query "
+                                             r"rows \[0, 3"):
+            evaluate(_NaNTargetModel(ds.num_entities), ds, "test")
+
     def test_oracle_scores_perfect(self):
         from repro.datasets import tiny
         ds = tiny()

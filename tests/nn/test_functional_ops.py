@@ -174,6 +174,103 @@ class TestDropoutRrelu:
                                       grad * np.where(x >= 0, 1.0, slope))
 
 
+def _special_values(dtype):
+    """±0, subnormals, ±inf, ±NaN, the extremes and ordinary values."""
+    info = np.finfo(dtype)
+    sub = info.smallest_subnormal
+    values = [0.0, -0.0, sub, -sub, 3 * sub, -3 * sub, info.tiny / 2,
+              -info.tiny / 2, info.tiny, -info.tiny, np.inf, -np.inf,
+              np.nan, -np.nan, info.max, -info.max, 1.0, -1.0, 0.3, -0.3,
+              1e-30, -1e-30]
+    return np.array(values + list(RNG.standard_normal(42)), dtype=dtype)
+
+
+class TestBranchFreeRrelu:
+    """``maximum(x, slope * x)`` and ``maximum(slope, x >= 0)`` are the
+    bits of the ``np.where`` forms for every slope in (0, 1]."""
+
+    @staticmethod
+    def _bits(arr):
+        return arr.view(np.uint32 if arr.dtype == np.float32 else np.uint64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", ["subnormal", 1e-3, 0.125,
+                                       (1 / 8 + 1 / 3) / 2, 1 / 3, 0.5,
+                                       "below_one", 1.0])
+    def test_eval_forward_and_backward_bitwise(self, dtype, slope):
+        if slope == "subnormal":
+            slope = float(np.finfo(dtype).smallest_subnormal)
+        elif slope == "below_one":
+            slope = float(np.nextafter(dtype(1.0), dtype(0.0)))
+        x = _special_values(dtype)
+        grad = RNG.standard_normal(x.shape).astype(dtype)
+        a = Tensor(x.copy(), requires_grad=True)
+        with np.errstate(all="ignore"):
+            out = ops.rrelu(a, lower=slope, upper=slope, training=False)
+            out.backward(grad)
+            s = dtype(slope)
+            expected = np.where(x >= 0, x, s * x)
+            expected_grad = grad * np.where(x >= 0, 1.0, s)
+        assert out.data.dtype == a.grad.dtype == dtype
+        np.testing.assert_array_equal(self._bits(out.data),
+                                      self._bits(expected))
+        np.testing.assert_array_equal(self._bits(a.grad),
+                                      self._bits(expected_grad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_per_element_slopes_bitwise(self, dtype):
+        x = np.tile(_special_values(dtype), 8)
+        grad = RNG.standard_normal(x.shape).astype(dtype)
+        a = Tensor(x.copy(), requires_grad=True)
+        with np.errstate(all="ignore"):
+            out = ops.rrelu(a, lower=1e-6, upper=1.0, training=True,
+                            rng=np.random.default_rng(5))
+            out.backward(grad)
+            slope = np.random.default_rng(5).uniform(
+                1e-6, 1.0, size=x.shape).astype(dtype)
+            expected = np.where(x >= 0, x, slope * x)
+            expected_grad = grad * np.where(x >= 0, 1.0, slope)
+        np.testing.assert_array_equal(self._bits(out.data),
+                                      self._bits(expected))
+        np.testing.assert_array_equal(self._bits(a.grad),
+                                      self._bits(expected_grad))
+
+    @pytest.mark.parametrize("lower,upper", [(0.0, 0.5), (-0.1, 0.5),
+                                             (0.5, 1.5), (0.4, 0.2),
+                                             (np.nan, 0.5), (0.1, np.nan)])
+    def test_bounds_outside_unit_interval_rejected(self, lower, upper):
+        x = Tensor(RNG.standard_normal((4, 3)))
+        with pytest.raises(ValueError, match="0 < lower <= upper <= 1"):
+            ops.rrelu(x, lower=lower, upper=upper)
+        edges = np.array([0, 1, 2])
+        with pytest.raises(ValueError, match="0 < lower <= upper <= 1"):
+            ops.fused_relational_pass(
+                x, Tensor(RNG.standard_normal((2, 3))),
+                Tensor(RNG.standard_normal((3, 3))),
+                Tensor(RNG.standard_normal((3, 3))), edges, edges % 2,
+                edges[::-1].copy(), 4, lower=lower, upper=upper)
+
+
+class TestLocalAttentionSignedZeros:
+    def test_weighted_sum_keeps_numpy_reduction_bits(self):
+        """The running weighted sum starts from +0.0 as numpy's
+        ``sum(axis=1)`` does, so all-(-0.0) rows keep the oracle's
+        bits (``assert_array_equal`` alone would call -0.0 == +0.0)."""
+        from tests.nn import reference_ops
+        rng = np.random.default_rng(11)
+        evolved = np.full((6, 4), -0.0, dtype=np.float32)
+        aggs = [np.full((6, 4), -0.0, dtype=np.float32) for _ in range(3)]
+        aggs[1][3:] = rng.standard_normal((3, 4)).astype(np.float32)
+        key = rng.standard_normal((6, 4)).astype(np.float32)
+        w5 = rng.standard_normal((4, 1)).astype(np.float32)
+        args = ([Tensor(a) for a in aggs], Tensor(key), Tensor(w5))
+        fused = ops.fused_local_attention(Tensor(evolved), *args).data
+        oracle = reference_ops.fused_local_attention(Tensor(evolved),
+                                                     *args).data
+        np.testing.assert_array_equal(fused.view(np.uint32),
+                                      oracle.view(np.uint32))
+
+
 class TestConv1d:
     def test_conv1d_shape(self):
         x = Tensor(RNG.standard_normal((2, 3, 10)))

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from repro import LogCL, LogCLConfig
-from repro.analysis import EVIDENCE_LABELS, evidence_label
+from repro.analysis import (EVIDENCE_LABELS, attribute_completions,
+                            evidence_label)
 from repro.datasets import load_preset
+from repro.eval import ranks_of_targets
 from repro.obs import DriftMonitor, ks_statistic
 from repro.serving import (CalibrationConfig, InferenceEngine,
                            ScoreCalibrator, anomaly_auc, protocol,
                            score_facts, softmax_rows)
+from repro.serving import ops as serving_ops
 from repro.training import load_engine_state, save_engine_state
 
 
@@ -178,6 +181,44 @@ class TestScoreOp:
         expected = softmax_rows(scores)[np.arange(len(facts)), facts[:, 2]]
         assert scored.prob.dtype == expected.dtype
         np.testing.assert_array_equal(scored.prob, expected)
+
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_batched_evidence_matches_attribute_completions(
+            self, dataset, monkeypatch, block_rows):
+        """One window join labels every fact as the per-fact
+        ``attribute_completions`` oracle does, and the row-blocked
+        softmax (one block, or several with a partial last one) gives
+        ``softmax_rows``'s bits."""
+        if block_rows is not None:
+            monkeypatch.setattr(serving_ops, "_SOFTMAX_BLOCK",
+                                block_rows * dataset.num_entities)
+        engine = _preload(_engine(dataset), dataset)
+        t = engine.next_time
+        window = engine.window_before(t)
+        recent = np.column_stack([window[-1].src, window[-1].rel,
+                                  window[-1].dst])[:6]
+        history = dataset.train.array
+        older = history[history[:, 3] < window[0].time][:6, :3]
+        rng = np.random.default_rng(3)
+        unseen = rng.integers(0, dataset.num_entities, (6, 3))
+        unseen[:, 1] = rng.integers(0, dataset.num_relations, 6)
+        facts = np.concatenate([recent, older, unseen,
+                                dataset.valid.array[:6, :3]])
+        scored = score_facts(engine, facts[:, 0], facts[:, 1], facts[:, 2],
+                             time=t)
+        counts = engine.history_index_at(t).fact_counts(
+            facts[:, 0], facts[:, 1], facts[:, 2])
+        expected = [attribute_completions([o], s, r, window,
+                                          {o: c})[0]["evidence"]
+                    for (s, r, o), c in zip(facts.tolist(), counts.tolist())]
+        assert scored.evidence == expected
+        assert {"local+global", "global", "none"} <= set(expected)
+        scores = engine.predict(facts[:, 0], facts[:, 1], time=t)
+        np.testing.assert_array_equal(
+            scored.prob, softmax_rows(scores)[np.arange(len(facts)),
+                                              facts[:, 2]])
+        np.testing.assert_array_equal(
+            scored.rank, ranks_of_targets(scores, facts[:, 2]))
 
     def test_ingest_flags_match_per_fact_flags(self, dataset, monkeypatch):
         """One threshold per snapshot flags exactly what a per-fact

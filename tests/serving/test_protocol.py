@@ -184,6 +184,27 @@ class TestStrictOptions:
         assert len(response["results"][0]) == 2
 
 
+class TestNaNRank:
+    def test_rank_op_reports_nan_target_rows(self, served, monkeypatch):
+        """A NaN gold score is an error response naming the query rows,
+        not a rank of 0.5."""
+        engine, dataset = served
+        queries = [[0, 0, 1], [1, 0, 2], [2, 1, 3]]
+        scores = np.zeros((3, dataset.num_entities), dtype=np.float32)
+        scores[1, 2] = np.nan
+        monkeypatch.setattr(engine, "predict",
+                            lambda subjects, relations, time=None:
+                            scores.copy())
+        request = {"op": "rank", "id": 7, "queries": queries,
+                   "time": engine.next_time, "filtered": False}
+        with pytest.raises(ValueError) as excinfo:
+            protocol.handle_request(engine, request)
+        response = protocol.error_response(excinfo.value, request)
+        assert response["ok"] is False and response["op"] == "rank"
+        assert response["id"] == 7
+        assert "NaN target score in query rows [1]" in response["error"]
+
+
 class TestErrorOpAttribution:
     """Error payloads always name the op they belong to (or "<none>")."""
 
