@@ -552,9 +552,11 @@ class GlobalHistoryIndex:
             pairs[:, 0], self._answers(pairs[:, 0], pairs[:, 1])[2]]))
         # Row ids are bounded by the cursor, so a reusable bool marker
         # over [0, cursor) uniques them with no sort (one byte per
-        # indexed row).
+        # indexed row).  It is sized to the tail's capacity, which grows
+        # geometrically, so a stream of extend/advance_to calls
+        # reallocates it only when the tail itself is regrown.
         if len(self._row_marker) < self._cursor:
-            self._row_marker = np.zeros(self._base_size + self._tail_size,
+            self._row_marker = np.zeros(self._base_size + len(self._tail),
                                         dtype=bool)
         ids = _marked_unique(self._row_marker[:self._cursor],
                              [(region.first_row, region.rows_of(seeds, rows))

@@ -15,10 +15,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 
-# Score elements per row block of :func:`ranks_of_targets`.
-_RANK_BLOCK = 1 << 18
-
-
 def rank_of_target(scores: np.ndarray, target: int) -> float:
     """1-based mean-tie rank of ``target`` within ``scores``.
 
@@ -55,24 +51,10 @@ def ranks_of_targets(scores: np.ndarray,
         raise ValueError(f"NaN target score in query rows "
                          f"{nan_rows.tolist()}: a NaN compares with "
                          f"nothing, so it has no rank")
-    # Both comparisons run over one row block at a time (about 1 MiB of
-    # scores), so the second reads the block from cache instead of the
-    # whole matrix from memory; counts are per row and exact, so the
-    # blocking changes no bit.  int32 counts (exact below 2**31
-    # candidates) sum twice as fast as the default int64 accumulator.
-    num_q, num_e = scores.shape
-    block = max(1, _RANK_BLOCK // max(num_e, 1))
-    hits = np.empty((min(block, num_q), num_e), dtype=bool)
-    greater = np.empty(num_q, dtype=np.int32)
-    ties = np.empty(num_q, dtype=np.int32)       # includes the target
-    for start in range(0, num_q, block):
-        stop = min(start + block, num_q)
-        rows, target = scores[start:stop], target_scores[start:stop]
-        mask = hits[:stop - start]
-        np.greater(rows, target, out=mask)
-        mask.sum(axis=1, dtype=np.int32, out=greater[start:stop])
-        np.equal(rows, target, out=mask)
-        mask.sum(axis=1, dtype=np.int32, out=ties[start:stop])
+    # int32 counts (exact below 2**31 candidates) sum twice as fast as
+    # the default int64 accumulator.
+    greater = (scores > target_scores).sum(axis=1, dtype=np.int32)
+    ties = (scores == target_scores).sum(axis=1, dtype=np.int32)  # + target
     return greater + (ties + 1) / 2.0
 
 

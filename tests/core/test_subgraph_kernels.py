@@ -56,6 +56,28 @@ class TestMarkedUnique:
             np.testing.assert_array_equal(np.stack(deduped, axis=1),
                                           expected)
 
+    def test_streamed_snapshots_reuse_the_marker(self):
+        """One small snapshot per step regrows the marker only when the
+        tail's capacity grows, not on every step."""
+        quads = RNG.integers(0, 30, (400, 4))
+        quads[:, 3] = np.sort(RNG.integers(0, 10, 400))
+        index = GlobalHistoryIndex(QuadrupleSet(quads))
+        queries = [tuple(q) for q in RNG.integers(0, 30, (4, 2)).tolist()]
+        markers = []
+        for time in range(10, 310):
+            chunk = RNG.integers(0, 30, (10, 4))
+            chunk[:, 3] = time
+            index.extend(chunk)
+            index.advance_to(time + 1)
+            kept = index.subgraph_for_queries(queries)
+            if not markers or index._row_marker is not markers[-1]:
+                markers.append(index._row_marker)
+        assert len(markers) <= 3        # 3,000 streamed rows: 1024 -> 4096
+        deduped = index.subgraph_for_queries(queries, deduplicate=True)
+        np.testing.assert_array_equal(
+            np.stack(deduped, axis=1),
+            np.unique(np.stack(kept, axis=1), axis=0))
+
 
 def _check_dedupe(src, rel, dst):
     rows = np.stack([src, rel, dst], axis=1).astype(FACT_DTYPE)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import tiny
-from repro.eval import metrics
 from repro.eval.metrics import (RankingAccumulator, rank_of_target,
                                 ranks_of_targets, softmax_topk)
 from repro.eval.protocol import FILTER_SETTINGS, evaluate
@@ -66,18 +65,6 @@ class TestRanksOfTargets:
                         for row, t in zip(scores, targets)]
             np.testing.assert_array_equal(
                 ranks_of_targets(scores, targets), expected)
-
-    @pytest.mark.parametrize("block_rows", [1, 3])
-    def test_row_blocks_match_scalar_rank(self, monkeypatch, block_rows):
-        """Several row blocks, the last one partial, rank as one."""
-        monkeypatch.setattr(metrics, "_RANK_BLOCK", block_rows * 40)
-        rng = np.random.default_rng(4)
-        scores = _tricky_scores(rng, (7, 40))
-        targets = rng.integers(0, 40, size=7)
-        expected = [rank_of_target(row, int(t))
-                    for row, t in zip(scores, targets)]
-        np.testing.assert_array_equal(
-            ranks_of_targets(scores, targets), expected)
 
     def test_all_neg_inf_row_mean_tie(self):
         scores = np.full((1, 5), -np.inf)

@@ -239,6 +239,37 @@ class TestScoreOp:
         assert [flag for _, flag in observed] \
             == [before.flag(value) for value, _ in observed]
 
+    def test_nan_score_refuses_calibrated_advance(self, dataset,
+                                                  monkeypatch):
+        """A NaN target score fails a calibrated ``advance`` before
+        anything is written: history, watermark and calibration window
+        stay as they were, and the same snapshot ingests once the model
+        scores it again."""
+        engine = _preload(_engine(dataset), dataset)
+        snap = dataset.valid.array
+        snap = snap[snap[:, 3] == snap[:, 3].min()]
+        before_time = engine.last_time
+        before_window = engine.calibration.calibrator.state_array().copy()
+        before_facts = engine.stats.counters["facts_ingested"]
+        predict = engine.predict
+
+        def nan_predict(subjects, relations, time=None):
+            scores = predict(subjects, relations, time=time)
+            scores[1, snap[1, 2]] = np.nan
+            return scores
+
+        monkeypatch.setattr(engine, "predict", nan_predict)
+        with pytest.raises(ValueError,
+                           match=r"NaN target score in query rows \[1\]"):
+            engine.advance(snap[:, :3], time=int(snap[0, 3]))
+        assert engine.last_time == before_time
+        assert engine.stats.counters["facts_ingested"] == before_facts
+        np.testing.assert_array_equal(
+            engine.calibration.calibrator.state_array(), before_window)
+        monkeypatch.setattr(engine, "predict", predict)
+        assert engine.advance(snap[:, :3], time=int(snap[0, 3])) == len(snap)
+        assert engine.last_time == int(snap[0, 3])
+
     def test_mixed_timestamps_rejected(self, dataset):
         engine = _preload(_engine(dataset), dataset, timesteps=4)
         with pytest.raises(protocol.RequestError,

@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """Cold time-aware evaluation passes: wall time, page faults, cProfile.
 
-Generates the ``eval-gdelt`` shape through the public API: ``gdelt_scale``
-with every track family thinned to 0.1, the test split cut to its first
-timestamp, and a seeded LogCL at dim 32, window 3.  It writes the
+Runs the ``eval-gdelt`` shape: the dataset comes from the repository
+benchmark's own generator (``benchmarks/perf/workloads.py``,
+``make_dataset("eval-gdelt", FULL, seed)``: ``gdelt_scale`` with every
+track family thinned to 0.1, the test split cut to its first
+timestamp), so the two cannot drift apart, and the model is a seeded
+LogCL at the benchmark's dim 32, window 3.  It writes the
 history to a store file, then runs cold passes.  Each pass opens the
 store afresh, builds a new ``HistoryContext`` and runs time-aware
 filtered ``evaluate``, so no cache outlives a pass.  The first pass
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import dataclasses
 import os
 import pstats
 import resource
@@ -31,9 +33,12 @@ import sys
 import tempfile
 import time
 
-DIM = 32
-WINDOW = 3
-FRACTION = 0.1
+# The benchmark's workload definitions, read from its directory; it
+# imports its sibling ``common`` the same way.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks", "perf"))
+from workloads import DIM, FULL, WINDOW, make_dataset  # noqa: E402
+
 SEED = 0
 
 # (stage, source file suffix, function name): the layers a cold pass
@@ -48,28 +53,6 @@ STAGES = (
     ("filter mask", "tkg/filtering.py", "mask_indices_for_batch"),
     ("rank", "eval/metrics.py", "ranks_of_targets"),
 )
-
-
-def make_dataset(seed: int):
-    """``gdelt_scale`` thinned to ``FRACTION``, test cut to one timestamp."""
-    from repro.data import ScaleConfig, generate_scale
-    from repro.tkg.dataset import TKGDataset
-    from repro.tkg.quadruples import QuadrupleSet
-    base = ScaleConfig()
-    config = dataclasses.replace(
-        base, name=f"gdelt_scale_{FRACTION:g}",
-        markov_tracks=max(1, int(base.markov_tracks * FRACTION)),
-        drift_tracks=max(1, int(base.drift_tracks * FRACTION)),
-        periodic_tracks=max(1, int(base.periodic_tracks * FRACTION)),
-        sparse_tracks=max(1, int(base.sparse_tracks * FRACTION)),
-        noise_per_step=max(1, int(base.noise_per_step * FRACTION)),
-        seed=seed)
-    dataset = generate_scale(config)
-    test = dataset.test.array
-    first = test[test[:, 3] == test[:, 3].min()]
-    return TKGDataset(dataset.name, dataset.train, dataset.valid,
-                      QuadrupleSet(first), dataset.num_entities,
-                      dataset.num_relations)
 
 
 def stage_times(stats: pstats.Stats, passes: int):
@@ -98,7 +81,7 @@ def main(argv=None) -> int:
     from repro import HistoryContext, LogCL, LogCLConfig, evaluate
     from repro.data import open_store, write_store
 
-    dataset = make_dataset(args.seed)
+    dataset = make_dataset("eval-gdelt", FULL, args.seed)
     model = LogCL(LogCLConfig(dim=DIM, window=WINDOW, seed=args.seed),
                   dataset.num_entities, dataset.num_relations,
                   static_facts=dataset.static_facts)
@@ -130,8 +113,8 @@ def main(argv=None) -> int:
             cold_pass()
             profiler.disable()
 
-    print(f"eval-gdelt shape (gdelt_scale {FRACTION:g}, first test "
-          f"snapshot, {len(dataset.test)} facts, dim {DIM}, window "
+    print(f"eval-gdelt shape (gdelt_scale {FULL.eval_fraction:g}, first "
+          f"test snapshot, {len(dataset.test)} facts, dim {DIM}, window "
           f"{WINDOW}, seed {args.seed}): {args.passes} cold passes")
     print(f"  median wall time per pass: "
           f"{1e3 * statistics.median(times):.1f} ms "
