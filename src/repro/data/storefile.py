@@ -5,22 +5,31 @@ snapshot sequence and the global index in process-private arrays —
 every forked evaluation worker and every serving replica pays for its
 own copy, and nothing survives the process.  A **store file** is the
 same state flattened to disk in a layout that ``np.memmap`` can adopt
-zero-copy:
+zero-copy (version 2):
 
 * a 64-byte versioned header (magic, version, counts);
 * the snapshot timestamps (int32) and per-snapshot row offsets (int64);
 * four int32 struct-of-arrays fact columns ``s, r, o, t`` holding the
   inverse-augmented facts in the canonical ``QuadrupleSet`` order
-  (time-major), so each snapshot is one contiguous column slice.
+  (time-major), so each snapshot is one contiguous column slice;
+* the §III-D triple index of those facts
+  (:class:`repro.core.subgraph.TripleIndex`): the distinct triples in
+  lexicographic order with each one's first row (four int32 columns),
+  and an entity → triple-id CSR (one int64 offset per ``(entity,
+  side)`` run, int32 triple ids).
 
 Every section is aligned to 64 bytes, which keeps the mapped column
-views dtype-aligned and cache-line friendly.
+views dtype-aligned and cache-line friendly.  A reader accepts only its
+own version; an older file is rejected with a message naming both
+versions, and rewriting it with :func:`write_store` (or ``python -m
+repro data export ... --store``) upgrades it.
 
 :func:`open_store` maps the file read-only and wires the column views
 straight into a :class:`repro.history.HistoryStore`: snapshots are
 slices, the :class:`repro.core.subgraph.GlobalHistoryIndex` adopts the
-columns as its immutable base region, and nothing is copied until a
-query touches it.  Because the arrays are file-backed, N forked workers
+columns as its immutable base region and the triple index as its
+subgraph index, and nothing is copied or sorted until a query touches
+it.  Because the arrays are file-backed, N forked workers
 or serving replicas opening the same path share one physical copy of
 the fact buffer through the OS page cache.  The mapped store answers
 ``window_before`` / ``subgraph`` / ``evaluate()`` bitwise-identically
@@ -40,15 +49,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..history import HistoryStore
-from ..core.subgraph import GlobalHistoryIndex
+from ..core.subgraph import GlobalHistoryIndex, TripleIndex
 from ..tkg.dataset import Snapshot, TKGDataset
 from ..tkg.quadruples import FACT_DTYPE, QuadrupleSet
 
 MAGIC = b"RPROHST\x01"
-VERSION = 1
+VERSION = 2
 HEADER_BYTES = 64
 ALIGNMENT = 64
 _HEADER_STRUCT = struct.Struct("<8sII6q")  # magic, version, flags, 6 counts
+# The six header counts, in order.
+_COUNTS = ("num_facts", "num_snapshots", "num_entities", "num_relations",
+           "num_triples", "index_entities")
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,9 @@ class StoreInfo:
 
     ``num_facts`` counts the *inverse-augmented* rows actually stored;
     ``num_relations`` counts original relations (the stored relation ids
-    span ``[0, 2 * num_relations)``).
+    span ``[0, 2 * num_relations)``).  ``num_triples`` counts the
+    distinct ``(s, r, o)`` triples of the triple index, whose runs cover
+    the entity ids ``[0, index_entities)``.
     """
 
     path: str
@@ -66,6 +80,8 @@ class StoreInfo:
     num_snapshots: int
     num_entities: int
     num_relations: int
+    num_triples: int
+    index_entities: int
     file_bytes: int
 
     @property
@@ -76,7 +92,8 @@ class StoreInfo:
     def describe(self) -> str:
         """One human-readable summary line (the CLI ``data inspect`` row)."""
         return (f"{self.path}: store v{self.version}, "
-                f"{self.num_facts} augmented facts in "
+                f"{self.num_facts} augmented facts "
+                f"({self.num_triples} distinct triples) in "
                 f"{self.num_snapshots} snapshots, "
                 f"{self.num_entities} entities / "
                 f"{self.num_relations} relations, "
@@ -88,7 +105,8 @@ def _aligned(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def _layout(num_facts: int, num_snapshots: int):
+def _layout(num_facts: int, num_snapshots: int, num_triples: int,
+            index_entities: int):
     """(name, dtype, offset, count) for every section, plus total bytes."""
     sections = []
     offset = HEADER_BYTES
@@ -98,7 +116,13 @@ def _layout(num_facts: int, num_snapshots: int):
             ("s", FACT_DTYPE, num_facts),
             ("r", FACT_DTYPE, num_facts),
             ("o", FACT_DTYPE, num_facts),
-            ("t", FACT_DTYPE, num_facts)):
+            ("t", FACT_DTYPE, num_facts),
+            ("triple_s", FACT_DTYPE, num_triples),
+            ("triple_r", FACT_DTYPE, num_triples),
+            ("triple_o", FACT_DTYPE, num_triples),
+            ("triple_row", FACT_DTYPE, num_triples),
+            ("run_offsets", np.int64, 2 * index_entities + 1),
+            ("run_triples", FACT_DTYPE, 2 * num_triples)):
         offset = _aligned(offset)
         sections.append((name, np.dtype(dtype), offset, count))
         offset += np.dtype(dtype).itemsize * count
@@ -112,7 +136,10 @@ def write_store_facts(path: str, facts: QuadrupleSet, num_entities: int,
     The facts are inverse-augmented exactly as
     :meth:`repro.history.HistoryStore.from_dataset` would augment them,
     then written in canonical order so :func:`open_store` reproduces the
-    in-memory store bitwise.
+    in-memory store bitwise.  Their triple index is derived here, once
+    (:meth:`repro.core.subgraph.TripleIndex.derive`, the same function
+    an in-memory store runs on its first lookup).  The bytes are a pure
+    function of the arguments.
     """
     augmented = facts.with_inverses(num_relations)
     arr = augmented.array
@@ -126,12 +153,17 @@ def write_store_facts(path: str, facts: QuadrupleSet, num_entities: int,
         offsets = np.zeros(1, dtype=np.int64)
         snap_times = np.empty(0, dtype=np.int32)
 
-    sections, total = _layout(len(arr), len(snap_times))
+    triples = TripleIndex.derive(arr[:, 0], arr[:, 1], arr[:, 2])
+    num_triples = len(triples.triple_s)
+    sections, total = _layout(len(arr), len(snap_times), num_triples,
+                              triples.num_entities)
     columns = {"snap_times": snap_times, "offsets": offsets,
-               "s": arr[:, 0], "r": arr[:, 1], "o": arr[:, 2], "t": times}
+               "s": arr[:, 0], "r": arr[:, 1], "o": arr[:, 2], "t": times,
+               **triples._asdict()}
     header = _HEADER_STRUCT.pack(MAGIC, VERSION, 0, len(arr),
                                  len(snap_times), int(num_entities),
-                                 int(num_relations), 0, 0)
+                                 int(num_relations), num_triples,
+                                 triples.num_entities)
     assert len(header) == HEADER_BYTES
     with open(path, "wb") as handle:
         handle.write(header)
@@ -165,21 +197,33 @@ def read_info(path: str) -> StoreInfo:
         raise ValueError(f"{path}: too small to be a history store file")
     with open(path, "rb") as handle:
         raw = handle.read(HEADER_BYTES)
-    magic, version, _flags, num_facts, num_snapshots, num_entities, \
-        num_relations, _r1, _r2 = _HEADER_STRUCT.unpack(raw)
+    magic, version, _flags, *counts = _HEADER_STRUCT.unpack(raw)
     if magic != MAGIC:
         raise ValueError(f"{path}: not a history store file "
                          f"(bad magic {magic!r})")
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported store version {version} "
-                         f"(this build reads v{VERSION})")
-    _sections, expected = _layout(num_facts, num_snapshots)
+        raise ValueError(
+            f"{path}: unsupported store version {version}; this build reads "
+            f"version {VERSION}.  Rewrite the file with "
+            f"repro.data.write_store (or `python -m repro data export "
+            f"DATASET OUT --store PATH`)")
+    counts = dict(zip(_COUNTS, counts))
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{path}: corrupt header, {name} is {value}")
+    if counts["num_triples"] > counts["num_facts"]:
+        raise ValueError(f"{path}: corrupt header, num_triples "
+                         f"{counts['num_triples']} exceeds num_facts "
+                         f"{counts['num_facts']}")
+    _sections, expected = _layout(counts["num_facts"],
+                                  counts["num_snapshots"],
+                                  counts["num_triples"],
+                                  counts["index_entities"])
     if file_bytes < expected:
         raise ValueError(f"{path}: truncated store file "
                          f"({file_bytes} bytes, header implies {expected})")
-    return StoreInfo(path=path, version=version, num_facts=num_facts,
-                     num_snapshots=num_snapshots, num_entities=num_entities,
-                     num_relations=num_relations, file_bytes=file_bytes)
+    return StoreInfo(path=path, version=version, file_bytes=file_bytes,
+                     **counts)
 
 
 def store_watermark(path: str) -> Tuple[int, int]:
@@ -205,7 +249,7 @@ def store_watermark(path: str) -> Tuple[int, int]:
 def map_columns(path: str) -> Tuple[StoreInfo, dict]:
     """Memory-map a store file's sections as read-only array views.
 
-    Returns the header info plus ``{name: array}`` for the six sections.
+    Returns the header info plus ``{name: array}`` for every section.
     The arrays are plain ``ndarray`` views into one shared ``np.memmap``;
     they hold a reference to it, so the mapping lives as long as any
     view does.  Plain views keep every slice and gather downstream off
@@ -214,7 +258,8 @@ def map_columns(path: str) -> Tuple[StoreInfo, dict]:
     """
     info = read_info(path)
     mapped = np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
-    sections, _total = _layout(info.num_facts, info.num_snapshots)
+    sections, _total = _layout(info.num_facts, info.num_snapshots,
+                               info.num_triples, info.index_entities)
     arrays = {}
     for name, dtype, offset, count in sections:
         nbytes = dtype.itemsize * count
@@ -222,11 +267,37 @@ def map_columns(path: str) -> Tuple[StoreInfo, dict]:
     return info, arrays
 
 
+def _check_sections(info: StoreInfo, arrays: dict) -> None:
+    """The cheap invariants of the mapped sections: O(snapshots +
+    entities), never O(rows).  Raises ``ValueError`` naming the path and
+    the section."""
+    def check(ok: bool, field: str, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{info.path}: corrupt store file, {field} "
+                             f"{what}")
+
+    offsets, runs = arrays["offsets"], arrays["run_offsets"]
+    check(offsets[0] == 0, "offsets", f"start at {offsets[0]}, not 0")
+    check(offsets[-1] == info.num_facts, "offsets",
+          f"end at {offsets[-1]}, not num_facts {info.num_facts}")
+    check(bool(np.all(offsets[1:] >= offsets[:-1])), "offsets",
+          "decrease")
+    times = arrays["snap_times"]
+    check(bool(np.all(times[1:] > times[:-1])), "snap_times",
+          "are not strictly increasing")
+    check(runs[0] == 0, "run_offsets", f"start at {runs[0]}, not 0")
+    check(runs[-1] == 2 * info.num_triples, "run_offsets",
+          f"end at {runs[-1]}, not twice num_triples {info.num_triples}")
+    check(bool(np.all(runs[1:] >= runs[:-1])), "run_offsets", "decrease")
+
+
 def open_store(path: str, record_raw: bool = False) -> HistoryStore:
     """Open a store file as a zero-copy :class:`HistoryStore`.
 
     Snapshots and the global index's base region are views into the
-    mapped file; nothing is materialized until queried.  The returned
+    mapped file, and the index adopts the file's triple index; nothing
+    is materialized until queried.  The sections' cheap invariants are
+    checked first (O(snapshots + entities)).  The returned
     store still accepts :meth:`repro.history.HistoryStore.extend` —
     appends land in an in-memory tail, leaving the file untouched.
 
@@ -235,6 +306,7 @@ def open_store(path: str, record_raw: bool = False) -> HistoryStore:
     backing file); the mapped facts themselves are never duplicated.
     """
     info, arrays = map_columns(path)
+    _check_sections(info, arrays)
     subjects, relations = arrays["s"], arrays["r"]
     objects, times = arrays["o"], arrays["t"]
     offsets = arrays["offsets"]
@@ -244,8 +316,10 @@ def open_store(path: str, record_raw: bool = False) -> HistoryStore:
         snapshots[snap_time] = Snapshot(
             time=snap_time, src=subjects[start:end],
             rel=relations[start:end], dst=objects[start:end])
+    triples = TripleIndex(**{name: arrays[name]
+                             for name in TripleIndex._fields})
     index = GlobalHistoryIndex.from_columns(subjects, relations, objects,
-                                            times)
+                                            times, triples=triples)
     store = HistoryStore(info.num_relations, index, snapshots,
                          streaming=record_raw)
     store.backing_path = os.path.abspath(path)

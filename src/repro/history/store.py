@@ -131,9 +131,9 @@ class HistoryStore:
         """Rewind the monotonic index to the stream's start (epoch start).
 
         O(1): only the index's cursor and horizon reset.  Its fact
-        buffer and entity CSRs (pure functions of the stored facts) are
-        kept, where a fresh :class:`GlobalHistoryIndex` would copy and
-        re-sort them; asserted behaviourally identical to a rebuild in
+        buffer, triple index and entity CSRs (pure functions of the
+        stored facts) are kept, where a fresh :class:`GlobalHistoryIndex`
+        would copy and re-sort them; asserted behaviourally identical to a rebuild in
         ``tests/history/test_store.py``.
         """
         self.index.rewind()
@@ -214,13 +214,13 @@ class HistoryStore:
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged historical query subgraph (§III-D) for one batch.
 
-        Deduplicated edges measure better than multiplicity-weighted ones
-        at bench scale (repeated edges over-smooth the R-GCN
-        aggregation); ``subgraph_for_queries`` exposes both.
+        The edges are the distinct historical triples: deduplicated
+        edges measured better than multiplicity-weighted ones at bench
+        scale (repeated edges over-smooth the R-GCN aggregation).
         """
         index = self.index_at(query_time)
-        pairs = list(zip(subjects.tolist(), relations.tolist()))
-        return index.subgraph_for_queries(pairs, deduplicate=True)
+        return index.subgraph_for_queries(
+            np.stack([np.asarray(subjects), np.asarray(relations)], axis=1))
 
     # -- persistence ----------------------------------------------------
     def raw_facts(self) -> np.ndarray:

@@ -94,24 +94,15 @@ class TestSubgraphExtraction:
         src, rel, dst = index.subgraph_for_queries([(0, 0)])
         assert len(src) == len(rel) == len(dst) == 0
 
-    def test_multiplicity_kept_by_default(self):
-        """Recurring facts contribute one edge per occurrence (§III-D
-        samples historical *facts*), so frequency shapes the aggregation."""
+    def test_recurring_facts_collapse_to_one_edge(self):
+        """The subgraph is a static KG (§III-D): a fact observed at three
+        timestamps is one edge."""
         quads = QuadrupleSet.from_quads([(0, 0, 1, 0), (0, 0, 1, 1),
                                          (0, 0, 1, 2)])
         index = GlobalHistoryIndex(quads)
         index.advance_to(3)
         src, rel, dst = index.subgraph_for_queries([(0, 0)])
-        assert len(src) == 3
-
-    def test_deduplicate_option(self):
-        quads = QuadrupleSet.from_quads([(0, 0, 1, 0), (0, 0, 1, 1),
-                                         (0, 0, 1, 2)])
-        index = GlobalHistoryIndex(quads)
-        index.advance_to(3)
-        src, rel, dst = index.subgraph_for_queries([(0, 0)],
-                                                   deduplicate=True)
-        assert len(src) == 1  # collapsed to the unique static triple
+        assert list(zip(src, rel, dst)) == [(0, 0, 1)]
 
     def test_subgraph_changes_with_query_time(self):
         # the paper: "the historical query subgraph ... can change along

@@ -1,7 +1,8 @@
-"""The sort-free row unique and the shift-packed triple dedupe (§III-D).
+"""The sort-free triple-id unique and the shift-packed triple dedupe
+(§III-D).
 
 Both replace a sort-based unique on the subgraph path, so both are held
-to ``np.unique``: the row ids to the 1-D unique, the triples to the
+to ``np.unique``: the triple ids to the 1-D unique, the triples to the
 row-wise ``np.unique(axis=0)`` (same rows, same lexicographic order).
 """
 
@@ -13,70 +14,78 @@ from repro.core.subgraph import (GlobalHistoryIndex, _dedupe_triples,
 from repro.tkg import QuadrupleSet
 from repro.tkg.quadruples import FACT_DTYPE
 
+from .reference_index import ReferenceHistoryIndex
+
 RNG = np.random.default_rng(23)
+
+
+def _assert_same_subgraph(index, oracle, queries):
+    for got, want in zip(index.subgraph_for_queries(queries),
+                         oracle.subgraph_for_queries(queries,
+                                                     deduplicate=True)):
+        assert got.dtype == want.dtype == FACT_DTYPE
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMarkedUnique:
     @pytest.mark.parametrize("size", [1, 2, 1000, 65537])
     def test_matches_np_unique(self, size):
         marker = np.zeros(size, dtype=bool)
-        first = RNG.integers(0, size, 3 * size)
-        first[:2] = [0, size - 1]                  # both ends of the span
-        offset = size // 2
-        second = RNG.integers(0, size - offset, size)
-        parts = [(0, first), (offset, second),
-                 (0, np.empty(0, dtype=np.int64))]
-        got = _marked_unique(marker, parts)
-        expected = np.unique(np.concatenate([first, offset + second]))
-        np.testing.assert_array_equal(got, expected)
+        values = RNG.integers(0, size, 3 * size)
+        values[:2] = [0, size - 1]                 # both ends of the span
+        got = _marked_unique(marker, values)
+        np.testing.assert_array_equal(got, np.unique(values))
         assert not marker.any()                    # cleared for reuse
 
     def test_no_parts_and_empty_parts(self):
         marker = np.zeros(8, dtype=bool)
-        assert len(_marked_unique(marker, [])) == 0
+        assert len(_marked_unique(marker, np.empty(0, dtype=np.int64))) == 0
         assert len(_marked_unique(
-            marker, [(3, np.empty(0, dtype=np.int64))])) == 0
+            marker, np.empty(0, dtype=FACT_DTYPE))) == 0
+        assert not marker.any()
 
     def test_index_marker_follows_a_growing_cursor(self):
-        """The marker is sized once and regrown when streamed appends
-        move the cursor past it."""
+        """Only triples first seen below the cursor are marked, as the
+        cursor moves through the base region and on into streamed
+        appends."""
         quads = RNG.integers(0, 30, (400, 4))
         quads[:, 3] = np.sort(RNG.integers(0, 10, 400))
-        index = GlobalHistoryIndex(QuadrupleSet(quads))
+        rows = QuadrupleSet(quads).array
+        index = GlobalHistoryIndex(QuadrupleSet(rows))
+        oracle = ReferenceHistoryIndex(rows)
         queries = [tuple(q) for q in RNG.integers(0, 30, (12, 2)).tolist()]
-        for time, extra in ((5, None), (12, 300), (20, 900)):
+        for time, extra in ((1, None), (5, None), (12, 300), (20, 900)):
             if extra is not None:
                 chunk = RNG.integers(0, 30, (extra, 4))
                 chunk[:, 3] = time - 1
                 index.extend(chunk)
+                oracle.extend(chunk)
             index.advance_to(time)
-            kept = index.subgraph_for_queries(queries)
-            deduped = index.subgraph_for_queries(queries, deduplicate=True)
-            expected = np.unique(np.stack(kept, axis=1), axis=0)
-            np.testing.assert_array_equal(np.stack(deduped, axis=1),
-                                          expected)
+            oracle.advance_to(time)
+            _assert_same_subgraph(index, oracle, queries)
 
     def test_streamed_snapshots_reuse_the_marker(self):
-        """One small snapshot per step regrows the marker only when the
-        tail's capacity grows, not on every step."""
+        """The marker is sized to the base's triples, so a stream of
+        small snapshots never reallocates it."""
         quads = RNG.integers(0, 30, (400, 4))
         quads[:, 3] = np.sort(RNG.integers(0, 10, 400))
-        index = GlobalHistoryIndex(QuadrupleSet(quads))
+        rows = QuadrupleSet(quads).array
+        index = GlobalHistoryIndex(QuadrupleSet(rows))
+        oracle = ReferenceHistoryIndex(rows)
         queries = [tuple(q) for q in RNG.integers(0, 30, (4, 2)).tolist()]
         markers = []
         for time in range(10, 310):
             chunk = RNG.integers(0, 30, (10, 4))
             chunk[:, 3] = time
             index.extend(chunk)
+            oracle.extend(chunk)
             index.advance_to(time + 1)
-            kept = index.subgraph_for_queries(queries)
-            if not markers or index._row_marker is not markers[-1]:
-                markers.append(index._row_marker)
-        assert len(markers) <= 3        # 3,000 streamed rows: 1024 -> 4096
-        deduped = index.subgraph_for_queries(queries, deduplicate=True)
-        np.testing.assert_array_equal(
-            np.stack(deduped, axis=1),
-            np.unique(np.stack(kept, axis=1), axis=0))
+            index.subgraph_for_queries(queries)
+            if not markers or index._triple_marker is not markers[-1]:
+                markers.append(index._triple_marker)
+        assert len(markers) == 1
+        oracle.advance_to(310)
+        _assert_same_subgraph(index, oracle, queries)
 
 
 def _check_dedupe(src, rel, dst):
@@ -117,18 +126,21 @@ class TestShiftPackedDedupe:
         assert _dedupe_triples(wide, wide, wide) is None
 
     def test_fallback_through_the_index(self):
-        """Ids whose fields need more than 63 bits take the row-wise
-        ``np.unique(axis=0)`` path and give the same edges."""
+        """Streamed ids whose fields need more than 63 bits take the
+        row-wise ``np.unique(axis=0)`` path and give the same edges."""
         big = 2 ** 31 - 1
-        quads = np.array([[0, big, big, 0], [big, 0, 0, 0],
-                          [0, big, big, 1], [big, big, 0, 1],
-                          [0, 5, big, 2]], dtype=FACT_DTYPE)
-        index = GlobalHistoryIndex(QuadrupleSet(quads))
-        index.advance_to(3)
-        kept = index.subgraph_for_queries([(0, big)])
-        deduped = index.subgraph_for_queries([(0, big)], deduplicate=True)
+        base = QuadrupleSet.from_quads([(0, 1, 2, 0), (2, 1, 0, 0)]).array
+        streamed = np.array([[0, big, big, 1], [big, 0, 0, 1],
+                             [0, big, big, 2], [big, big, 0, 2],
+                             [0, 5, big, 3]], dtype=FACT_DTYPE)
+        index = GlobalHistoryIndex(QuadrupleSet(base))
+        oracle = ReferenceHistoryIndex(base)
+        index.extend(streamed)
+        oracle.extend(streamed)
+        index.advance_to(4)
+        oracle.advance_to(4)
+        kept = oracle.subgraph_for_queries([(0, big)])
         assert _dedupe_triples(*kept) is None
-        np.testing.assert_array_equal(
-            np.stack(deduped, axis=1),
-            np.unique(np.stack(kept, axis=1), axis=0))
+        _assert_same_subgraph(index, oracle, [(0, big)])
+        deduped = index.subgraph_for_queries([(0, big)])
         assert len(deduped[0]) < len(kept[0])

@@ -73,7 +73,7 @@ class TestCLILoop:
         assert cli_main(["data", "inspect", store]) == 0
         assert cli_main(["data", "inspect", out]) == 0
         output = capsys.readouterr().out
-        assert "store v1" in output
+        assert "store v2" in output
         assert "exported tiny" in output
         reloaded = load_benchmark_directory(out)
         for split, quads in dataset.splits().items():

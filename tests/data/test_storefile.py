@@ -5,7 +5,8 @@ import pytest
 
 from repro.data import (map_columns, open_store, read_info, write_store,
                         write_store_facts)
-from repro.data.storefile import ALIGNMENT, HEADER_BYTES, MAGIC
+from repro.data.storefile import (ALIGNMENT, HEADER_BYTES, MAGIC,
+                                   _HEADER_STRUCT, _layout)
 from repro.datasets import tiny
 from repro.history import HistoryStore
 from repro.tkg.quadruples import FACT_DTYPE, QuadrupleSet
@@ -36,10 +37,20 @@ class TestFormat:
 
     def test_sections_are_aligned_and_typed(self, store_path):
         info, arrays = map_columns(store_path)
-        assert sorted(arrays) == ["o", "offsets", "r", "s", "snap_times", "t"]
+        assert sorted(arrays) == ["o", "offsets", "r", "run_offsets",
+                                  "run_triples", "s", "snap_times", "t",
+                                  "triple_o", "triple_r", "triple_row",
+                                  "triple_s"]
         for name in ("s", "r", "o", "t"):
             assert arrays[name].dtype == FACT_DTYPE
             assert len(arrays[name]) == info.num_facts
+        for name in ("triple_s", "triple_r", "triple_o", "triple_row"):
+            assert arrays[name].dtype == FACT_DTYPE
+            assert len(arrays[name]) == info.num_triples
+        assert arrays["run_triples"].dtype == FACT_DTYPE
+        assert len(arrays["run_triples"]) == 2 * info.num_triples
+        assert arrays["run_offsets"].dtype == np.int64
+        assert len(arrays["run_offsets"]) == 2 * info.index_entities + 1
         assert arrays["offsets"].dtype == np.int64
         assert arrays["snap_times"].dtype == np.int32
         assert int(arrays["offsets"][0]) == 0
@@ -73,6 +84,17 @@ class TestFormat:
             handle.write((99).to_bytes(4, "little"))
         with pytest.raises(ValueError, match="version 99"):
             read_info(store_path)
+
+    def test_version_1_rejected_with_the_upgrade_path(self, store_path):
+        with open(store_path, "r+b") as handle:
+            handle.seek(len(MAGIC))
+            handle.write((1).to_bytes(4, "little"))
+        with pytest.raises(ValueError) as error:
+            open_store(store_path)
+        message = str(error.value)
+        for words in (store_path, "version 1", "version 2", "write_store",
+                      "data export", "--store"):
+            assert words in message
 
     def test_write_is_deterministic(self, dataset, tmp_path):
         a, b = str(tmp_path / "a.hst"), str(tmp_path / "b.hst")
@@ -184,3 +206,75 @@ class TestStoreWatermark:
             handle.truncate(info.file_bytes - 8)
         with pytest.raises(ValueError, match="truncated"):
             read_info(store_path)
+
+
+def _header_counts(path):
+    with open(path, "rb") as handle:
+        return list(_HEADER_STRUCT.unpack(handle.read(HEADER_BYTES)))
+
+
+def _set_count(path, field, value):
+    """Overwrite one header count (field 3 is the first count)."""
+    header = _header_counts(path)
+    header[field] = value
+    with open(path, "r+b") as handle:
+        handle.write(_HEADER_STRUCT.pack(*header))
+
+
+def _set_section(path, section, position, value):
+    """Overwrite one element of one section of a store file."""
+    info = read_info(path)
+    sections, _total = _layout(info.num_facts, info.num_snapshots,
+                               info.num_triples, info.index_entities)
+    for name, dtype, offset, count in sections:
+        if name == section:
+            assert 0 <= position % count < count
+            with open(path, "r+b") as handle:
+                handle.seek(offset + (position % count) * dtype.itemsize)
+                handle.write(np.array([value], dtype=dtype).tobytes())
+            return
+    raise KeyError(section)
+
+
+class TestCorruptFiles:
+    """A corrupt header or section fails at open, naming the path and
+    the field; the checks are O(snapshots + entities), never O(rows)."""
+
+    @pytest.mark.parametrize("field,name,value", [
+        (3, "num_facts", -5), (4, "num_snapshots", -1),
+        (5, "num_entities", -3), (6, "num_relations", -2),
+        (7, "num_triples", -4), (8, "index_entities", -6)])
+    def test_negative_counts_rejected(self, store_path, field, name, value):
+        _set_count(store_path, field, value)
+        for reader in (read_info, open_store):
+            with pytest.raises(ValueError, match=f"{name} is {value}") \
+                    as error:
+                reader(store_path)
+            assert store_path in str(error.value)
+
+    def test_more_triples_than_facts_rejected(self, store_path):
+        info = read_info(store_path)
+        _set_count(store_path, 7, info.num_facts + 1)
+        with pytest.raises(ValueError, match="num_triples"):
+            read_info(store_path)
+
+    @pytest.mark.parametrize("section,position,value,words", [
+        ("offsets", 0, 1, "offsets start at 1"),
+        ("offsets", -1, 7, "offsets end at 7"),
+        ("offsets", 1, 10 ** 6, "offsets decrease"),
+        ("snap_times", 1, -100, "snap_times are not strictly increasing"),
+        ("run_offsets", 0, 3, "run_offsets start at 3"),
+        ("run_offsets", -1, 5, "run_offsets end at 5"),
+        ("run_offsets", 1, 10 ** 6, "run_offsets decrease")])
+    def test_broken_section_invariants_rejected(self, store_path, section,
+                                                position, value, words):
+        _set_section(store_path, section, position, value)
+        with pytest.raises(ValueError, match=words) as error:
+            open_store(store_path)
+        assert store_path in str(error.value)
+
+    def test_equal_snapshot_times_rejected(self, store_path):
+        times = map_columns(store_path)[1]["snap_times"]
+        _set_section(store_path, "snap_times", 1, int(times[0]))
+        with pytest.raises(ValueError, match="snap_times"):
+            open_store(store_path)

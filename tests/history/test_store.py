@@ -110,10 +110,8 @@ class TestRewind:
             assert (rewound.historical_answers(s, r)
                     == fresh.historical_answers(s, r))
             assert rewound.answer_counts(s, r) == fresh.answer_counts(s, r)
-        for got, want in zip(rewound.subgraph_for_queries(queries,
-                                                          deduplicate=True),
-                             fresh.subgraph_for_queries(queries,
-                                                        deduplicate=True)):
+        for got, want in zip(rewound.subgraph_for_queries(queries),
+                             fresh.subgraph_for_queries(queries)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(rewound.facts_since(0),
                                       fresh.facts_since(0))

@@ -336,6 +336,51 @@ class TestForecastOp:
                     "horizon": horizon})
 
 
+class TestHorizonViewOverMappedStore:
+    """Horizon forecasts of a non-context model read history through
+    ``_HorizonView``: over a mapped store with a streamed tail they must
+    equal the serial engine that ingested every snapshot itself."""
+
+    def test_copy_model_forecast_matches_the_serial_engine(self, dataset,
+                                                           tmp_path):
+        from repro.data import write_store_facts
+        from repro.registry import build_model
+        model = build_model("cygnet", dataset, dim=16, seed=0)
+        assert not hasattr(model, "precompute_context")
+        path = str(tmp_path / "train.hst")
+        write_store_facts(path, dataset.train, dataset.num_entities,
+                          dataset.num_relations)
+        mapped = InferenceEngine(model, dataset.num_entities,
+                                 dataset.num_relations, window=3)
+        mapped.use_store_file(path)
+        serial = InferenceEngine(model, dataset.num_entities,
+                                 dataset.num_relations, window=3)
+        serial.preload(dataset)
+        for t, snap in sorted(dataset.valid.group_by_time().items()):
+            mapped.advance(snap[:, :3], time=int(t))     # the streamed tail
+            serial.advance(snap[:, :3], time=int(t))
+        assert mapped.watermark == serial.watermark
+        queries = dataset.test.array[:12, :2]
+        subjects, relations = queries[:, 0].copy(), queries[:, 1].copy()
+        anchor = mapped.next_time
+        for horizon in (2, 5):
+            np.testing.assert_array_equal(
+                mapped.predict_horizon(subjects, relations, steps=horizon),
+                serial.predict_horizon(subjects, relations, steps=horizon))
+            request = {"op": "forecast", "queries": queries.tolist(),
+                       "horizon": horizon, "topk": 5}
+            assert (protocol.handle_request(mapped, request)
+                    == protocol.handle_request(serial, request))
+        # The anchored subgraph, over the mapped base's triple index plus
+        # the tail, equals the all-tail one.
+        for got, want in zip(
+                mapped.global_edges(anchor, subjects, relations),
+                serial.global_edges(anchor, subjects, relations)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert len(mapped.global_edges(anchor, subjects, relations)[0])
+
+
 class TestCalibrationPersistence:
     def test_window_survives_snapshot_restart(self, dataset, tmp_path):
         engine = _preload(_engine(dataset), dataset)

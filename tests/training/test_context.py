@@ -96,8 +96,7 @@ class TestHistoryContext:
                 dataset.all_facts().with_inverses(dataset.num_relations))
             reference.advance_to(inv.time)
             expected = reference.subgraph_for_queries(
-                list(zip(inv.subjects.tolist(), inv.relations.tolist())),
-                deduplicate=True)
+                list(zip(inv.subjects.tolist(), inv.relations.tolist())))
             for got, want in zip(inv_edges, expected):
                 np.testing.assert_array_equal(got, want)
             if any(len(a) != len(b) or not np.array_equal(a, b)

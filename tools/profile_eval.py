@@ -12,10 +12,13 @@ store afresh, builds a new ``HistoryContext`` and runs time-aware
 filtered ``evaluate``, so no cache outlives a pass.  The first pass
 builds the time-aware filter and is not measured.
 
-Prints, for ``--passes`` unprofiled passes, the median wall time and the
-minor page faults per pass (``getrusage`` of this process), then for as
-many passes under cProfile the cumulative time per stage and the
-``--top`` functions by self time (``tottime``)::
+Prints the ``write_store`` time (the median of ``--passes`` writes:
+the store's triple index is derived there, so a cold pass need not
+sort) and the store's bytes per fact; then, for ``--passes``
+unprofiled passes, the median wall time and the minor page faults per
+pass (``getrusage`` of this process), then for as many passes under
+cProfile the cumulative time per stage and the ``--top`` functions by
+self time (``tottime``)::
 
     PYTHONPATH=src python tools/profile_eval.py --passes 10 --top 25
     make profile-eval PASSES=20
@@ -88,7 +91,11 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "history.hst")
-        write_store(path, dataset)
+        writes = []
+        for _ in range(args.passes):
+            begin = time.perf_counter()
+            info = write_store(path, dataset)
+            writes.append(time.perf_counter() - begin)
 
         def cold_pass():
             context = HistoryContext(dataset, WINDOW, store=open_store(path))
@@ -116,6 +123,9 @@ def main(argv=None) -> int:
     print(f"eval-gdelt shape (gdelt_scale {FULL.eval_fraction:g}, first "
           f"test snapshot, {len(dataset.test)} facts, dim {DIM}, window "
           f"{WINDOW}, seed {args.seed}): {args.passes} cold passes")
+    print(f"  write_store: median {1e3 * statistics.median(writes):.1f} ms "
+          f"over {args.passes} writes, {info.num_facts} augmented facts, "
+          f"{info.bytes_per_fact:.2f} bytes per fact")
     print(f"  median wall time per pass: "
           f"{1e3 * statistics.median(times):.1f} ms "
           f"(min {1e3 * min(times):.1f}, max {1e3 * max(times):.1f})")
