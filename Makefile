@@ -2,7 +2,7 @@
 
 .PHONY: install test test-fast bench bench-table3 serve-bench \
 	serve-daemon-bench serve-replica-bench eval-bench history-bench \
-	train-telemetry-bench parallel-bench data-bench \
+	train-telemetry-bench data-bench \
 	anomaly-bench perf-record perf-compare profile-train profile-eval \
 	trace-demo experiments clean-cache docs-test lint lint-private \
 	lint-docstrings \
@@ -44,9 +44,6 @@ history-bench:  ## history layer: subgraph-cache hit rate + epoch-rewind speedup
 
 train-telemetry-bench:  ## telemetry overhead (<5%) and span coverage (>=95%)
 	pytest benchmarks/test_train_telemetry.py --benchmark-only -s
-
-parallel-bench:  ## sharded-evaluation parity (always) + speedup (>=4 cores)
-	pytest benchmarks/test_parallel_eval.py --benchmark-only -s
 
 data-bench:  ## store-file capacity: ingest facts/s, bytes/fact, eval QPS
 	pytest benchmarks/test_data_capacity.py --benchmark-only -s
@@ -106,7 +103,7 @@ lint-dtype:  ## float32 policy: wide floats only via repro/nn/dtypes.py
 		' policy stays in one place)'; \
 		exit 1; }
 
-lint-docstrings:  ## every public def/class in history, parallel, serving documented
+lint-docstrings:  ## every public def/class in data, history, serving, obs documented
 	python tools/check_docstrings.py
 
 lint-private:  ## no reaching into GlobalHistoryIndex, filter or cache internals from outside

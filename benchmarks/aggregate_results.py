@@ -56,10 +56,9 @@ python benchmarks/aggregate_results.py
 | Serving latency | (engineering claim, not from the paper) incremental engine answers repeated-horizon queries >= 5x faster than cold recomputation | asserted in `test_serving_latency.py` |
 | Eval throughput | (engineering claim, not from the paper) batched filtered-ranking kernel >= 5x the queries/s of a per-query loop (`true_objects`, row copy, `rank_of_target`) with bitwise-identical metric rows | asserted in `test_eval_throughput.py` |
 | History layer | (engineering claim, not from the paper) shared subgraph cache turns repeated evaluation passes into ~all hits with bitwise-identical metric rows; epoch rewind >= 3x cheaper than the index rebuild it replaced | asserted in `test_history_cache.py` |
-| Parallel evaluation | (engineering claim, not from the paper) sharded evaluation produces metric rows bitwise-identical to the serial pass for every worker count and filter setting; >= 2x faster at 4 workers (asserted only on hosts with >= 4 cores, measured everywhere); workloads under the per-shard floor fall back to the serial path | asserted in `test_parallel_eval.py` |
 | Data capacity | (engineering claim, not from the paper) the store file ingests a GDELT-scale stream (>= 1M facts) at bulk rate, stays within 24 bytes/fact on disk, opens zero-copy (~0 resident bytes/fact before first touch), and answers filtered evaluation from the mapped buffer with metric rows bitwise-identical to in-memory | asserted in `test_data_capacity.py` |
 | Serving daemon | (engineering claim, not from the paper) the socket daemon sustains >= 8 concurrent open-loop clients with recorded QPS and p50/p99 latency, every response bitwise-identical to the serial engine, and sheds (never hangs) requests past the admission-control depth | asserted in `test_serving_daemon.py` |
-| Perf pass | (engineering claim, not from the paper) the float32/fused-kernel speed pass trained an icews14_like epoch and ran filtered evaluation >= 3x faster than the float64 pre-pass path, with metric rows bitwise-identical at matched dtype (all filter settings, serial and workers=4) and within atol 1e-5 of the float64 reference | frozen record in `results/perf_pass.json`; the pre-pass path and its bench are gone, the parity halves live on in `tests/nn/test_fused_kernels.py` and `tests/eval/test_dtype_parity.py` |
+| Perf pass | (engineering claim, not from the paper) the float32/fused-kernel speed pass trained an icews14_like epoch and ran filtered evaluation >= 3x faster than the float64 pre-pass path, with metric rows bitwise-identical at matched dtype (all filter settings) and within atol 1e-5 of the float64 reference | frozen record in `results/perf_pass.json`; the pre-pass path and its bench are gone, the parity halves live on in `tests/nn/test_fused_kernels.py` and `tests/eval/test_dtype_parity.py` |
 | Serving replicas | (engineering claim, not from the paper) the replica-set router serves 1/2/4 forked replicas over one mmap-backed store file with every response bitwise-identical to the serial engine, zero private-dirty store pages per replica and summed PSS well under summed RSS (the fact buffer is physically shared, never copied); recorded QPS and p50/p99 per replica count, >= 1.8x at 2 replicas asserted only on >= 2-core hosts (measured everywhere) | asserted in `test_serving_replicas.py` |
 | Anomaly ROC | (engineering claim, not from the paper) the calibrated `score` op separates injected-corruption facts from real ones at ROC-AUC >= 0.85 on a streamed test split, with the corrupted population scoring strictly lower on average | asserted in `test_anomaly_roc.py` |
 

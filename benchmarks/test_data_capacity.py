@@ -11,7 +11,7 @@ fractions of the ``gdelt_scale`` generator and records, per scale:
   second (``write_store``, the bulk path every converted dump takes);
 * **bytes/fact** — on-disk footprint from the versioned header, and
   the *resident* delta after touching every mapped column (the real
-  per-process cost fork workers share via the page cache);
+  per-process cost serving replicas share via the page cache);
 * **eval QPS** — queries/s of a full filtered evaluation pass reading
   history through the mapped store.
 

@@ -35,7 +35,6 @@ class _TimeClampMixin:
     def _init_time_tracking(self, num_timestamps: int) -> None:
         self.num_timestamps = num_timestamps
         self.max_trained_time = -1
-        self.AUX_STATE_ATTRS = ("max_trained_time",)
 
     def _effective_time(self, t: int) -> int:
         if self.training:

@@ -29,7 +29,6 @@ class TTransE(EmbeddingBaseline):
         self.time_embedding = Embedding(num_timestamps, dim,
                                         self._extra_rngs[0], scale=0.1)
         self.max_trained_time = -1
-        self.AUX_STATE_ATTRS = ("max_trained_time",)
 
     def _time_rows(self, t: int, count: int) -> np.ndarray:
         if t >= self.num_timestamps or (self.clamp_unseen

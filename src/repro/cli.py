@@ -51,12 +51,6 @@ def _add_common_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1,
-                        help="forked shard workers (repro.parallel); "
-                             "metric rows are identical for every value")
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset)
     model = build_model(args.model, dataset, dim=args.dim, seed=args.seed)
@@ -64,8 +58,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                                   window=args.window,
                                   eval_every=args.eval_every,
                                   patience=args.patience,
-                                  workers=args.workers,
-                                  grad_accum=args.grad_accum,
                                   verbose=not args.quiet))
     telemetry = NULL_TELEMETRY
     if args.trace:
@@ -102,7 +94,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         telemetry.attach_trace(args.trace)
     metrics = evaluate(model, dataset, args.split, window=args.window,
                        filter_setting=args.filter, records=records,
-                       workers=args.workers, telemetry=telemetry)
+                       telemetry=telemetry)
     print(format_metric_row(args.model, metrics))
     if args.trace:
         telemetry.detach_trace()
@@ -124,8 +116,7 @@ def _cmd_noise(args: argparse.Namespace) -> int:
     model = build_model(args.model, dataset, dim=args.dim, seed=args.seed)
     load_checkpoint(model, args.checkpoint)
     result = noise_sweep(model, dataset, sigmas=tuple(args.sigmas),
-                         window=args.window, model_name=args.model,
-                         workers=args.workers)
+                         window=args.window, model_name=args.model)
     print(f"{'sigma':>8s}{'MRR':>8s}{'H@1':>8s}{'H@10':>8s}")
     for point in result.points:
         print(f"{point.sigma:8.2f}{point.mrr:8.2f}{point.hits1:8.2f}"
@@ -139,11 +130,9 @@ def _cmd_online(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset)
     model = build_model(args.model, dataset, dim=args.dim, seed=args.seed)
     load_checkpoint(model, args.checkpoint)
-    offline = evaluate(model, dataset, "test", window=args.window,
-                       workers=args.workers)
+    offline = evaluate(model, dataset, "test", window=args.window)
     online = evaluate_online(model, dataset,
-                             OnlineConfig(window=args.window, lr=args.lr),
-                             workers=args.workers)
+                             OnlineConfig(window=args.window, lr=args.lr))
     print(format_metric_row(f"{args.model} (offline)", offline))
     print(format_metric_row(f"{args.model} (online)", online))
     return 0
@@ -168,8 +157,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         {"op": "advance", "time": 80, "facts": [[s, r, o], ...]}
         {"op": "predict", "queries": [[s, r], ...], "topk": 5}
-        {"op": "rank", "queries": [[s, r, o], ...], "filtered": true,
-         "workers": 1}
+        {"op": "rank", "queries": [[s, r, o], ...], "filtered": true}
         {"op": "score", "facts": [[s, r, o], ...], "time": 81}
         {"op": "forecast", "queries": [[s, r], ...], "horizon": 3,
          "topk": 10}
@@ -352,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=2e-3)
     p_train.add_argument("--eval-every", type=int, default=4)
     p_train.add_argument("--patience", type=int, default=4)
-    _add_workers_arg(p_train)
-    p_train.add_argument("--grad-accum", type=int, default=None,
-                         help="batches per optimizer step in sharded mode "
-                              "(defaults to --workers; 1 reproduces the "
-                              "serial trainer's numerics)")
     p_train.add_argument("--out", help="checkpoint output path (.npz)")
     p_train.add_argument("--trace",
                          help="write a repro.obs JSONL trace of the run "
@@ -377,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a repro.obs JSONL trace of the pass "
                              "(forward/rank spans, history-cache hit/miss "
                              "counters)")
-    _add_workers_arg(p_eval)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_noise = sub.add_parser("noise", help="Gaussian-noise sweep")
@@ -385,14 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--checkpoint", required=True)
     p_noise.add_argument("--sigmas", type=float, nargs="+",
                          default=[0.0, 0.5, 1.0, 2.0])
-    _add_workers_arg(p_noise)
     p_noise.set_defaults(func=_cmd_noise)
 
     p_online = sub.add_parser("online", help="online-learning evaluation")
     _add_common_model_args(p_online)
     p_online.add_argument("--checkpoint", required=True)
     p_online.add_argument("--lr", type=float, default=1e-3)
-    _add_workers_arg(p_online)
     p_online.set_defaults(func=_cmd_online)
 
     p_serve = sub.add_parser("serve", help="incremental online inference "

@@ -461,10 +461,10 @@ class GlobalHistoryIndex:
         """Adopt four aligned, time-sorted fact columns without copying.
 
         This is how a memory-mapped ``repro.data`` store file becomes an
-        index: the columns stay views into the backing file, so forked
-        evaluation workers and serving replicas share one physical copy
-        through the page cache.  Callers guarantee the time column is
-        sorted ascending; the columns are treated as immutable.
+        index: the columns stay views into the backing file, so serving
+        replicas share one physical copy through the page cache.
+        Callers guarantee the time column is sorted ascending; the
+        columns are treated as immutable.
         ``triples`` is the columns' :class:`TripleIndex` when the file
         carries it (otherwise it is derived on the first lookup).
         """

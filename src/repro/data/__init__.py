@@ -9,8 +9,8 @@ two halves:
   and a round-tripping exporter.
 * :mod:`repro.data.storefile` — a columnar, memory-mappable backing
   file for :class:`repro.history.HistoryStore`; :func:`open_store`
-  adopts it zero-copy, so forked evaluation workers and serving
-  replicas share one physical fact buffer through the page cache.
+  adopts it zero-copy, so serving replicas opening the same file
+  share one physical fact buffer through the page cache.
 
 :mod:`repro.data.scale` generates GDELT-scale synthetic datasets
 (millions of facts) to exercise the out-of-core path at a size where

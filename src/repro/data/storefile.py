@@ -29,11 +29,11 @@ straight into a :class:`repro.history.HistoryStore`: snapshots are
 slices, the :class:`repro.core.subgraph.GlobalHistoryIndex` adopts the
 columns as its immutable base region and the triple index as its
 subgraph index, and nothing is copied or sorted until a query touches
-it.  Because the arrays are file-backed, N forked workers
-or serving replicas opening the same path share one physical copy of
-the fact buffer through the OS page cache.  The mapped store answers
-``window_before`` / ``subgraph`` / ``evaluate()`` bitwise-identically
-to the in-memory construction (``tests/data/test_storefile.py``,
+it.  Because the arrays are file-backed, N serving replicas opening
+the same path share one physical copy of the fact buffer through the
+OS page cache.  The mapped store answers ``window_before`` /
+``subgraph`` / ``evaluate()`` bitwise-identically to the in-memory
+construction (``tests/data/test_storefile.py``,
 ``tests/data/test_mmap_parity.py``) and still accepts streamed
 :meth:`repro.history.HistoryStore.extend` appends, which land in the
 index's in-memory tail region.

@@ -125,7 +125,6 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
              filter_setting: str = "time-aware",
              phases: Sequence[str] = PHASES,
              records: Optional[List[QueryRecord]] = None,
-             workers: int = 1,
              telemetry: Telemetry = NULL_TELEMETRY) -> Dict[str, float]:
     """Evaluate ``model`` on one split and return the paper's metric row.
 
@@ -149,12 +148,6 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
         Optional list that, when provided, receives one
         :class:`QueryRecord` per evaluated query — the input to
         per-pattern analysis (:mod:`repro.analysis`).
-    workers:
-        Shard the pass across this many forked worker processes
-        (:mod:`repro.parallel`).  Metric rows are bitwise-identical to
-        ``workers=1`` for every worker count (see
-        ``docs/parallel.md``); ``1`` (default) keeps the classic serial
-        walk in-process.
     telemetry:
         Optional :class:`repro.obs.Telemetry`; when given, the pass
         records ``context_build`` (history/filter construction),
@@ -178,40 +171,27 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
     was_training = bool(getattr(model, "training", False))
     model.eval()
     accumulator = RankingAccumulator()
-    if workers != 1:
-        # Lazy import: repro.parallel is an execution detail, and eager
-        # importing it here would cycle back through repro.eval.
-        from ..parallel.evaluation import sharded_ranks
-        batches = list(iter_timestep_batches(dataset, split, context,
-                                             phases=phases))
-        all_ranks = sharded_ranks(model, batches, time_filter, static_filter,
-                                  workers=workers, telemetry=telemetry)
-        for batch, ranks in zip(batches, all_ranks):
-            accumulator.add_ranks(ranks)
-            if records is not None:
-                _record_batch(records, batch, ranks)
-    else:
-        # Forward and inverse batches of one timestamp share the
-        # query-independent encoder context (window walk + base
-        # embeddings) instead of recomputing it per phase.
-        context_memo = {} if reuse_context_enabled(model) else None
-        for batch in iter_timestep_batches(dataset, split, context,
-                                           phases=phases):
-            with telemetry.span("forward"):
-                scores = (predict_scores_reusing(model, batch, context_memo)
-                          if context_memo is not None
-                          else model.predict_on(batch))
-            with telemetry.span("rank"):
-                ranks = batch_ranks_vectorized(scores, batch, time_filter,
-                                               static_filter)
-            # Free this batch's (Q, |E|) scores before the next forward
-            # allocates its own: a lower peak, so the allocator keeps the
-            # freed pages instead of returning and re-faulting them.
-            del scores
-            accumulator.add_ranks(ranks)
-            telemetry.incr("queries_evaluated", len(batch))
-            if records is not None:
-                _record_batch(records, batch, ranks)
+    # Forward and inverse batches of one timestamp share the
+    # query-independent encoder context (window walk + base
+    # embeddings) instead of recomputing it per phase.
+    context_memo = {} if reuse_context_enabled(model) else None
+    for batch in iter_timestep_batches(dataset, split, context,
+                                       phases=phases):
+        with telemetry.span("forward"):
+            scores = (predict_scores_reusing(model, batch, context_memo)
+                      if context_memo is not None
+                      else model.predict_on(batch))
+        with telemetry.span("rank"):
+            ranks = batch_ranks_vectorized(scores, batch, time_filter,
+                                           static_filter)
+        # Free this batch's (Q, |E|) scores before the next forward
+        # allocates its own: a lower peak, so the allocator keeps the
+        # freed pages instead of returning and re-faulting them.
+        del scores
+        accumulator.add_ranks(ranks)
+        telemetry.incr("queries_evaluated", len(batch))
+        if records is not None:
+            _record_batch(records, batch, ranks)
     if was_training:
         model.train()
     else:

@@ -67,10 +67,10 @@ class HistoryStore:
         # the watermark counts upward from here as extend() appends.
         self._base_watermark = len(self._snap_times)
         # Set by repro.data.storefile.open_store for memory-mapped
-        # stores: the absolute path of the backing file.  Forked
-        # evaluation workers re-open the same file instead of inheriting
-        # arrays, so all replicas share one physical copy via the OS
-        # page cache (None for purely in-memory stores).
+        # stores: the absolute path of the backing file.  Serving
+        # replicas re-open the same file instead of inheriting arrays,
+        # so all of them share one physical copy via the OS page cache
+        # (None for purely in-memory stores).
         self.backing_path: Optional[str] = None
 
     # -- construction ---------------------------------------------------

@@ -48,103 +48,6 @@ class ExtrapolationModel(Module):
             0.0, self.input_noise_std, size=base.shape).astype(base.data.dtype)
         return base + Tensor(noise)
 
-    def draw_noise_seed(self) -> int:
-        """Draw one integer key from the noise stream (advancing it).
-
-        The sharded evaluation path derives per-batch noise substreams
-        from one such key, making noisy sharded passes a pure function
-        of (weights, key, batch) — independent of worker count.
-        """
-        return int(self._noise_rng.integers(0, 2 ** 63))
-
-    def reseed_noise(self, seed) -> None:
-        """Reset the Gaussian input-noise stream to a fixed seed.
-
-        ``seed`` is anything :func:`numpy.random.default_rng` accepts
-        (shard workers pass ``(key, batch_index)`` tuples).
-        """
-        self._noise_rng = np.random.default_rng(seed)
-
-    def training_rngs(self) -> list:
-        """Every distinct RNG reachable from the module tree, in a
-        deterministic traversal order.
-
-        Modules share :class:`numpy.random.Generator` objects (dropout
-        masks, RReLU slopes draw from them in train mode); collecting
-        the distinct generators lets the sharded trainer reset them all
-        to per-task substreams (:meth:`reseed_rngs`).
-        """
-        from .nn import Module
-        found: list = []
-        seen: set = set()
-
-        def visit(obj) -> None:
-            if id(obj) in seen:
-                return
-            seen.add(id(obj))
-            if isinstance(obj, np.random.Generator):
-                found.append(obj)
-            elif isinstance(obj, Module):
-                for _, value in sorted(vars(obj).items()):
-                    visit(value)
-            elif isinstance(obj, (list, tuple)):
-                for value in obj:
-                    visit(value)
-            elif isinstance(obj, dict):
-                for key in sorted(obj, key=repr):
-                    visit(obj[key])
-
-        visit(self)
-        return found
-
-    def reseed_rngs(self, seed) -> None:
-        """Reset every training-time RNG to a stream derived from ``seed``.
-
-        ``seed`` is an int or tuple of ints; the i-th generator of
-        :meth:`training_rngs` gets the substream ``(*seed, i)``.  States
-        are assigned in place, so submodules holding references to the
-        shared generators see the reseed.  The sharded trainer calls
-        this per ``(epoch, batch)`` task, which makes a training step a
-        pure function of (weights, task) — identical for every worker
-        count.
-        """
-        parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-        for i, gen in enumerate(self.training_rngs()):
-            fresh = np.random.default_rng(tuple(int(p) for p in parts) + (i,))
-            gen.bit_generator.state = fresh.bit_generator.state
-
-    # -- auxiliary (non-parameter) training state -----------------------------
-    #: Names of monotonic high-water-mark attributes that training-mode
-    #: forwards mutate (set as an *instance* attribute by models that have
-    #: such state, e.g. the interpolation baselines' ``max_trained_time``).
-    AUX_STATE_ATTRS: tuple = ()
-
-    def export_aux_state(self) -> dict:
-        """Non-parameter state that training-mode forwards mutate.
-
-        ``state_dict`` carries only parameter arrays; models that also
-        accumulate heuristic state during training expose it here (by
-        listing attributes in :attr:`AUX_STATE_ATTRS` or overriding).
-        The sharded trainer ships each worker's snapshot back to the
-        parent and folds them through :meth:`merge_aux_state`, so the
-        parent model leaves training with the same auxiliary state as a
-        serial run.
-        """
-        return {name: getattr(self, name) for name in self.AUX_STATE_ATTRS}
-
-    def merge_aux_state(self, states) -> None:
-        """Fold worker-side :meth:`export_aux_state` snapshots back in.
-
-        The default treats every exported attribute as a high-water mark
-        and merges by ``max`` — order-independent, so the result is
-        identical for every worker count.  Models with richer auxiliary
-        state override both methods with their own (order-independent)
-        reduction.
-        """
-        for state in states:
-            for name, value in state.items():
-                setattr(self, name, max(getattr(self, name), value))
-
     # -- abstract -------------------------------------------------------------
     def loss_on(self, batch: "TimestepBatch") -> Tensor:  # pragma: no cover
         raise NotImplementedError

@@ -77,7 +77,7 @@ class StageStats:
         Counts and totals add, extrema widen, and the bounded reservoir
         absorbs the other's retained samples (so post-merge percentiles
         are estimated over both sides' recent windows).  Used to fold a
-        shard worker's span statistics back into the parent registry.
+        serving replica's span statistics into the router's registry.
         """
         if other.count == 0:
             return
@@ -222,9 +222,9 @@ class Telemetry:
     def export_state(self) -> Dict[str, object]:
         """A picklable snapshot of every span/counter/scalar.
 
-        This is the cross-process transport format: a shard worker
+        This is the cross-process transport format: a serving replica
         records into its own private :class:`Telemetry`, ships the
-        exported state back over the process boundary, and the parent
+        exported state back over the process boundary, and the router
         folds it in through :meth:`merge_state`.  Unlike
         :meth:`as_dict` (a rendered summary), the exported state keeps
         the raw :class:`StageStats` accumulators so merged percentiles
@@ -242,8 +242,8 @@ class Telemetry:
 
         Span and scalar accumulators merge sample-wise
         (:meth:`StageStats.merge`); counters add.  Merging is
-        commutative over disjoint shards, so the parent may fold worker
-        summaries in any order — metric determinism never depends on it.
+        commutative, so the router may fold replica summaries in any
+        order.
 
         ``prefix`` namespaces every merged name under ``prefix/`` —
         the serving router folds each replica's stats in as

@@ -64,7 +64,6 @@ def noise_sweep(model: ExtrapolationModel, dataset: TKGDataset,
                 sigmas: Sequence[float] = DEFAULT_SIGMAS,
                 split: str = "test", window: int = 3,
                 model_name: str = "model",
-                workers: int = 1,
                 telemetry: Telemetry = NULL_TELEMETRY) -> NoiseSweepResult:
     """Evaluate ``model`` under each noise intensity (Fig. 5 protocol).
 
@@ -75,11 +74,7 @@ def noise_sweep(model: ExtrapolationModel, dataset: TKGDataset,
     across the whole sweep (``evaluate`` rewinds it per pass), so the
     snapshot/index construction is paid once, not once per sigma.  A
     ``telemetry`` instance receives the per-pass evaluation spans plus
-    the shared history cache's hit/miss counters.  ``workers`` shards
-    each pass across forked processes; noisy passes then draw per-batch
-    noise substreams, so sweep results are worker-count-independent
-    (though not bitwise-equal to the serial draw order — see
-    ``docs/parallel.md``).
+    the shared history cache's hit/miss counters.
     """
     if sigmas[0] != 0.0:
         raise ValueError("first sigma must be 0.0 (the clean reference)")
@@ -90,8 +85,7 @@ def noise_sweep(model: ExtrapolationModel, dataset: TKGDataset,
         for sigma in sigmas:
             model.input_noise_std = float(sigma)
             metrics = evaluate(model, dataset, split, context=context,
-                               window=window, workers=workers,
-                               telemetry=telemetry)
+                               window=window, telemetry=telemetry)
             points.append(NoisePoint(sigma=float(sigma), mrr=metrics["mrr"],
                                      hits1=metrics["hits@1"],
                                      hits3=metrics["hits@3"],

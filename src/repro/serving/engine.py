@@ -647,7 +647,7 @@ class InferenceEngine:
 
     def rank_queries(self, subjects: np.ndarray, relations: np.ndarray,
                      targets: np.ndarray, time: Optional[int] = None,
-                     filtered: bool = True, workers: int = 1) -> np.ndarray:
+                     filtered: bool = True) -> np.ndarray:
         """Time-aware filtered ranks for a gold-labelled query batch.
 
         The serving-side evaluation loop: scores come from
@@ -659,34 +659,19 @@ class InferenceEngine:
         (:func:`repro.eval.metrics.ranks_of_targets`) — no per-query
         score copies.  The ``rank`` stage and ``queries_ranked`` counter
         record the cost in :attr:`stats`.
-
-        ``workers`` shards the post-scoring filter+rank work across
-        forked processes (:mod:`repro.parallel`) by row blocks; the
-        forward pass itself is never split — batch composition is model
-        semantics (LogCL's entity-aware attention pools over the whole
-        batch).  Row ranks are independent, so every worker count
-        returns bitwise-identical ranks.
         """
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         query_time = self.next_time if time is None else int(time)
         scores = self.predict(subjects, relations, time=query_time)
         with self.stats.time("rank"):
-            if workers != 1:
-                # Lazy import: repro.parallel is only needed when a
-                # sharded ranking is actually requested.
-                from ..parallel.evaluation import sharded_filtered_ranks
-                ranks = sharded_filtered_ranks(
-                    scores, subjects, relations, targets, query_time,
-                    self.filter, filtered, workers, telemetry=self.stats)
-            else:
-                if filtered:
-                    rows, cols = self.filter.mask_indices_for_batch(
-                        subjects, relations, query_time, targets)
-                    if len(rows):
-                        # predict() already handed us a private array
-                        # (memo hits return a copy), so strike in place.
-                        scores[rows, cols] = -np.inf
-                ranks = ranks_of_targets(scores, targets)
+            if filtered:
+                rows, cols = self.filter.mask_indices_for_batch(
+                    subjects, relations, query_time, targets)
+                if len(rows):
+                    # predict() already handed us a private array
+                    # (memo hits return a copy), so strike in place.
+                    scores[rows, cols] = -np.inf
+            ranks = ranks_of_targets(scores, targets)
         self.stats.incr("queries_ranked", len(targets))
         return ranks
 

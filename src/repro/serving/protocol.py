@@ -8,7 +8,7 @@ documents) dispatches on ``"op"``:
 ``predict``   ``{"op": "predict", "queries": [[s, r], ...], "topk": k,
               "filtered": false, "time": t}``
 ``rank``      ``{"op": "rank", "queries": [[s, r, o], ...],
-              "filtered": true, "workers": 1}``
+              "filtered": true}``
 ``score``     ``{"op": "score", "facts": [[s, r, o], ...], "time": t}``
               — calibrated likelihood + anomaly flag per observed fact
 ``forecast``  ``{"op": "forecast", "queries": [[s, r], ...],
@@ -279,10 +279,9 @@ def handle_request(engine, request: Dict[str, Any]) -> Dict[str, Any]:
         queries = fact_array(request.get("queries"), "queries", columns=(3,))
         time = request.get("time")
         filtered = _flag_option(request, "filtered", True)
-        workers = int(request.get("workers", 1))
         ranks = engine.rank_queries(queries[:, 0], queries[:, 1],
                                     queries[:, 2], time=time,
-                                    filtered=filtered, workers=workers)
+                                    filtered=filtered)
         return with_id({"ok": True, "op": op,
                         "time": engine.next_time if time is None
                         else int(time),

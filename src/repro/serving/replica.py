@@ -1,4 +1,4 @@
-"""Replica workers: N read-serving engines over one shared read state.
+"""Serving replicas: N read-serving engines over one shared read state.
 
 The read/write split in :mod:`repro.serving.engine` makes an engine's
 shareable half explicit (:class:`repro.serving.engine.ReadState`: the
@@ -51,7 +51,7 @@ Delta = Tuple[int, np.ndarray]
 def fork_replicas_available() -> bool:
     """Whether forked replica workers are supported on this platform.
 
-    Mirrors :func:`repro.parallel.pool.fork_available`: replicas rely on
+    True when the ``fork`` start method exists: replicas rely on
     fork's copy-on-write inheritance of the model parameters (spawn
     would re-import and re-pickle the whole model per replica).
     """

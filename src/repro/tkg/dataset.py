@@ -8,7 +8,7 @@ so the model never trains on timestamps it is evaluated on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,20 +138,6 @@ class TKGDataset:
             quads = quads.with_inverses(self.num_relations)
         return [Snapshot.from_array(t, facts)
                 for t, facts in sorted(quads.group_by_time().items())]
-
-    def history_snapshots(self, query_time: int, window: int,
-                          with_inverses: bool = True) -> List[Snapshot]:
-        """The last ``window`` snapshots strictly before ``query_time``.
-
-        Pulls from the union of all splits (standard extrapolation
-        protocol: at test time the model may condition on all facts before
-        the query timestamp, including validation-period ones).
-        """
-        facts = self.all_facts().between(max(0, query_time - window), query_time)
-        if with_inverses:
-            facts = facts.with_inverses(self.num_relations)
-        return [Snapshot.from_array(t, arr)
-                for t, arr in sorted(facts.group_by_time().items())]
 
 
 def chronological_split(quads: QuadrupleSet, ratios: Sequence[float] = (0.8, 0.1, 0.1)

@@ -8,7 +8,7 @@ vectorized.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -148,11 +148,6 @@ class QuadrupleSet:
 
     def concat(self, other: "QuadrupleSet") -> "QuadrupleSet":
         return QuadrupleSet(np.concatenate([self.array, other.array], axis=0))
-
-    def shift_times(self, offset: int) -> "QuadrupleSet":
-        shifted = self.array.copy()
-        shifted[:, 3] += offset
-        return QuadrupleSet(shifted)
 
     def max_ids(self) -> Tuple[int, int, int]:
         """Return (max entity id, max relation id, max time) or (-1,-1,-1)."""

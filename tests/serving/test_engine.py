@@ -355,6 +355,21 @@ class TestRankQueries:
         np.testing.assert_array_equal(ranks,
                                       ranks_of_targets(scores, targets))
 
+    def test_filtered_rank_leaves_cached_scores_intact(self, logcl, dataset):
+        # The filter strikes the scores in place; a later memo hit must
+        # still see the unstruck scores.
+        engine = _fresh_engine(logcl, dataset)
+        t = int(dataset.test.timestamps()[0])
+        facts = dataset.test.at_time(t).array
+        subjects, relations = facts[:, 0].copy(), facts[:, 1].copy()
+        targets = facts[:, 2].copy()
+        before = engine.rank_queries(subjects, relations, targets, time=t,
+                                     filtered=False)
+        engine.rank_queries(subjects, relations, targets, time=t)
+        after = engine.rank_queries(subjects, relations, targets, time=t,
+                                    filtered=False)
+        np.testing.assert_array_equal(before, after)
+
 
 class TestReadWriteSplit:
     """The engine's ReadState/DeltaState partition (replica substrate)."""

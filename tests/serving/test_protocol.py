@@ -1,5 +1,7 @@
 """Serving protocol: boundary validation, id echo, batched predict."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,30 @@ class TestNaNRank:
         assert response["ok"] is False and response["op"] == "rank"
         assert response["id"] == 7
         assert "NaN target score in query rows [1]" in response["error"]
+
+
+class TestRankWorkersField:
+    def test_workers_field_is_ignored_and_forks_nothing(self, served,
+                                                         monkeypatch):
+        """A client cannot make the server fork: ``"workers"`` is an
+        unrecognised field like any other, and the ranks are unchanged."""
+        engine, dataset = served
+        rng = np.random.default_rng(0)
+        queries = np.stack([
+            rng.integers(0, dataset.num_entities, 128),
+            rng.integers(0, 2 * dataset.num_relations, 128),
+            rng.integers(0, dataset.num_entities, 128)], axis=1).tolist()
+        request = {"op": "rank", "queries": queries,
+                   "time": engine.next_time}
+        plain = protocol.handle_request(engine, request)
+
+        def no_fork():
+            raise AssertionError("the rank op forked a process")
+        monkeypatch.setattr(os, "fork", no_fork)
+        with_workers = protocol.handle_request(engine,
+                                               dict(request, workers=2))
+        assert with_workers["ok"] is True
+        assert with_workers["ranks"] == plain["ranks"]
 
 
 class TestErrorOpAttribution:

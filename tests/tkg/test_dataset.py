@@ -52,16 +52,6 @@ class TestDataset:
         aug = ds.snapshots("train", with_inverses=True)
         assert sum(s.num_edges for s in aug) == 2 * sum(s.num_edges for s in plain)
 
-    def test_history_snapshots_window(self):
-        ds = tiny_dataset()
-        hist = ds.history_snapshots(query_time=4, window=2)
-        assert [s.time for s in hist] == [2, 3]
-
-    def test_history_crosses_split_boundary(self):
-        # History before a test-time query includes validation facts.
-        hist = tiny_dataset().history_snapshots(query_time=4, window=10)
-        assert [s.time for s in hist] == [0, 1, 2, 3]
-
     def test_snapshot_active_entities(self):
         snap = Snapshot(time=0, src=np.array([0, 1]), rel=np.array([0, 0]),
                         dst=np.array([1, 2]))

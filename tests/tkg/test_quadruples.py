@@ -77,10 +77,6 @@ class TestQueries:
     def test_max_ids(self):
         assert make_set().max_ids() == (2, 1, 2)
 
-    def test_shift_times(self):
-        shifted = make_set().shift_times(10)
-        np.testing.assert_array_equal(shifted.timestamps(), [10, 11, 12])
-
 
 class TestInverses:
     def test_with_inverses_doubles(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docstring-presence lint for the shared runtime layers.
 
-The data, history, parallel and serving layers are the repository's
+The data, history, serving and obs layers are the repository's
 shared infrastructure — other layers program against their surfaces, so every
 *public* module, class, function and method there must say what it
 does.  This checker walks the AST (no imports, so it runs anywhere)
@@ -26,8 +26,7 @@ from typing import List
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHECKED_PACKAGES = ("src/repro/data", "src/repro/history",
-                    "src/repro/parallel", "src/repro/serving",
-                    "src/repro/obs")
+                    "src/repro/serving", "src/repro/obs")
 
 
 def _is_public(name: str) -> bool:

@@ -165,7 +165,6 @@ BOOTSTRAPS: Dict[str, Callable[[], Dict[str, object]]] = {
     "data_format.md": _benchmark_directory_fixture,
     "data.md": _dataset_fixture,
     "history.md": _dataset_fixture,
-    "parallel.md": _dataset_fixture,
 }
 
 
