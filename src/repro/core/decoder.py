@@ -12,7 +12,8 @@ import numpy as np
 
 from ..nn import Linear, Module, Parameter, Tensor
 from ..nn import init as weight_init
-from ..nn.ops import conv1d_same, dropout, fused_convtranse, stack
+from ..nn.ops import (conv1d_same, convtranse_features, dropout,
+                      fused_convtranse, stack)
 
 
 class ConvTransE(Module):
@@ -69,4 +70,18 @@ class ConvTransE(Module):
             self.conv_bias, self.fc.weight, self.fc.bias,
             training=self.training, dropout_rate=self.dropout_rate,
             rng=self._rng, subject_index=subject_index,
+            relation_index=relation_index)
+
+    def query_features(self, entity_matrix: Tensor, relation_matrix: Tensor,
+                       subject_index: np.ndarray,
+                       relation_index: np.ndarray) -> np.ndarray:
+        """Eval-mode ``(Q, d)`` query features as a plain array.
+
+        :meth:`forward_indexed` at inference equals ``query_features(...)
+        @ candidates.T`` bitwise; callers that rank can form that
+        product one row block at a time.
+        """
+        return convtranse_features(
+            entity_matrix, relation_matrix, self.conv_weight, self.conv_bias,
+            self.fc.weight, self.fc.bias, subject_index=subject_index,
             relation_index=relation_index)

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph import build_aggregator
-from ..interface import ExtrapolationModel
+from ..interface import ExtrapolationModel, ScoreFactors
 from ..nn import Embedding, Tensor, no_grad
 from ..nn.dtypes import default_float
 from ..nn.functional import multilabel_soft_loss
@@ -296,11 +296,28 @@ class LogCL(ExtrapolationModel):
         return self.encode_queries(context, subjects, relations, global_edges)
 
     def score_queries(self, encoded: Dict, subjects: np.ndarray,
-                      relations: np.ndarray) -> Tensor:
-        """Raw logits (Q, |E|) for the given queries (Eq. 18)."""
+                      relations: np.ndarray, factored: bool = False):
+        """Raw logits (Q, |E|) for the given queries (Eq. 18).
+
+        With ``factored`` (inference only: eval mode, no autograd) the
+        logits come as :class:`repro.interface.ScoreFactors` instead —
+        the ``(Q, d)`` query features and the ``(|E|, d)`` candidates
+        whose product they are — so ranking can form them one row block
+        at a time.
+        """
+        subject_rows = encoded.get("subject_rows", subjects)
+        if factored:
+            if self.training or is_grad_enabled():
+                raise RuntimeError("factored scores are for inference: "
+                                   "call in eval mode under no_grad()")
+            return ScoreFactors(
+                self.decoder.query_features(encoded["fused"],
+                                            encoded["relations"],
+                                            subject_rows, relations),
+                encoded["candidates"].data)
         return self.decoder.forward_indexed(
             encoded["fused"], encoded["relations"], encoded["candidates"],
-            encoded.get("subject_rows", subjects), relations)
+            subject_rows, relations)
 
     def contrast_loss(self, encoded: Dict, subjects: np.ndarray,
                       relations: np.ndarray) -> Optional[Tensor]:

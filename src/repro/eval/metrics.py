@@ -30,15 +30,17 @@ def rank_of_target(scores: np.ndarray, target: int) -> float:
     return greater + (ties + 1) / 2.0
 
 
-def ranks_of_targets(scores: np.ndarray,
-                     targets: Sequence[int]) -> np.ndarray:
+def ranks_of_targets(scores: np.ndarray, targets: Sequence[int],
+                     row_offset: int = 0) -> np.ndarray:
     """1-based mean-tie ranks of per-row targets, in one broadcasted pass.
 
     Vectorized equivalent of calling :func:`rank_of_target` on every row
     of a ``(Q, |E|)`` score matrix — the comparison semantics (strictly-
     greater count plus mean tie position, ``-inf`` ties included) are
     identical, so the two agree bitwise.  Raises ``ValueError`` naming
-    the query rows whose target score is NaN.
+    the query rows whose target score is NaN, numbered from
+    ``row_offset`` (the first row's index when ``scores`` is a row block
+    of a larger batch).
     """
     scores = np.asarray(scores)
     targets = np.asarray(targets, dtype=np.int64)
@@ -46,7 +48,8 @@ def ranks_of_targets(scores: np.ndarray,
         raise ValueError(f"expected (Q, E) scores with Q aligned targets, "
                          f"got {scores.shape} and {targets.shape}")
     target_scores = scores[np.arange(len(targets)), targets][:, None]
-    nan_rows = np.flatnonzero(target_scores[:, 0] != target_scores[:, 0])
+    nan_rows = row_offset + np.flatnonzero(
+        target_scores[:, 0] != target_scores[:, 0])
     if len(nan_rows):
         raise ValueError(f"NaN target score in query rows "
                          f"{nan_rows.tolist()}: a NaN compares with "

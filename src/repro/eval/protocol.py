@@ -72,9 +72,10 @@ def reuse_context_enabled(model) -> bool:
 
     Requires the split ``precompute_context`` / ``encode_queries`` /
     ``score_queries`` API (documented numerically identical to
-    ``encode``) and a noise-free model — with ``input_noise_std > 0``
-    the serial protocol draws fresh noise per batch, so phases must not
-    share one perturbed context.
+    ``encode``; ``score_queries`` takes ``factored=True``, see
+    :func:`batch_scores`) and a noise-free model — with
+    ``input_noise_std > 0`` the serial protocol draws fresh noise per
+    batch, so phases must not share one perturbed context.
     """
     return (hasattr(model, "precompute_context")
             and hasattr(model, "encode_queries")
@@ -82,15 +83,22 @@ def reuse_context_enabled(model) -> bool:
             and getattr(model, "input_noise_std", 0.0) <= 0.0)
 
 
-def predict_scores_reusing(model, batch, memo: dict):
-    """``model.predict_on(batch)`` sharing one context per timestamp.
+def batch_scores(model, batch, memo: Optional[dict]):
+    """One batch's scores in the form the ranking kernel takes.
 
-    ``memo`` maps a timestamp to its precomputed query-independent
-    context; batches walk time monotonically, so only the current
-    timestamp is kept.  Bitwise-identical to the direct path: the
-    context is query-independent and ``encode_queries`` on it is the
-    exact tail of ``encode``.
+    Without a context ``memo``, ``model.predict_on``'s ``(Q, |E|)``
+    matrix.  With one (models for which :func:`reuse_context_enabled`
+    holds), the same scores as :class:`repro.interface.ScoreFactors`,
+    sharing one query-independent context per timestamp: ``memo`` maps
+    a timestamp to its context, and batches walk time monotonically, so
+    only the current timestamp is kept.  Bitwise-identical to
+    ``predict_on``: the context is query-independent, ``encode_queries``
+    on it is the exact tail of ``encode``, and the factors' product
+    (formed a row block at a time by the ranking kernel) is
+    ``score_queries``' matrix.
     """
+    if memo is None:
+        return model.predict_on(batch)
     with no_grad():
         context = memo.get(batch.time)
         if context is None:
@@ -99,9 +107,8 @@ def predict_scores_reusing(model, batch, memo: dict):
             memo[batch.time] = context
         encoded = model.encode_queries(context, batch.subjects,
                                        batch.relations, batch.global_edges)
-        logits = model.score_queries(encoded, batch.subjects,
-                                     batch.relations)
-    return logits.data
+        return model.score_queries(encoded, batch.subjects,
+                                   batch.relations, factored=True)
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,9 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
         Optional :class:`repro.obs.Telemetry`; when given, the pass
         records ``context_build`` (history/filter construction),
         ``forward`` (model scoring, including lazy window/subgraph
-        materialization) and ``rank`` (filtered ranking) spans plus a
+        materialization; for split-API models up to the query features)
+        and ``rank`` (filtered ranking, with those models' row-blocked
+        score product) spans plus a
         ``queries_evaluated`` counter, and is bound to the shared
         history cache so its ``subgraph_cache_hits``/``_misses``
         counters surface too.  Defaults to the inert null telemetry.
@@ -178,15 +187,13 @@ def evaluate(model: ExtrapolationModel, dataset: TKGDataset, split: str,
     for batch in iter_timestep_batches(dataset, split, context,
                                        phases=phases):
         with telemetry.span("forward"):
-            scores = (predict_scores_reusing(model, batch, context_memo)
-                      if context_memo is not None
-                      else model.predict_on(batch))
+            scores = batch_scores(model, batch, context_memo)
         with telemetry.span("rank"):
             ranks = batch_ranks_vectorized(scores, batch, time_filter,
                                            static_filter)
-        # Free this batch's (Q, |E|) scores before the next forward
-        # allocates its own: a lower peak, so the allocator keeps the
-        # freed pages instead of returning and re-faulting them.
+        # Free this batch's scores before the next forward allocates its
+        # own: a lower peak, so the allocator keeps the freed pages
+        # instead of returning and re-faulting them.
         del scores
         accumulator.add_ranks(ranks)
         telemetry.incr("queries_evaluated", len(batch))

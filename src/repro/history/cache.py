@@ -96,8 +96,8 @@ def array_key(arr: np.ndarray) -> Tuple[str, int, bytes]:
 
     Raw ``tobytes()`` alone is NOT a safe cache key: the byte string
     carries neither dtype nor element count, so e.g. ``int64 [0]`` and
-    ``int32 [0, 0]`` serialize identically (the collision class PR 7
-    fixed in ``repro.nn.ops._SCATTER_CACHE``).  Prefixing the dtype
+    ``int32 [0, 0]`` serialize identically (a collision the encoder's
+    former scatter-matrix memo once had).  Prefixing the dtype
     string and length disambiguates every such pair.  Use this helper —
     not bare ``tobytes()`` — whenever an array's contents become part of
     a cache key.

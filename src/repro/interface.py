@@ -7,7 +7,8 @@ any user-supplied model are interchangeable across all benchmarks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -54,3 +55,31 @@ class ExtrapolationModel(Module):
 
     def predict_on(self, batch: "TimestepBatch") -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class ScoreFactors:
+    """A ``(Q, |E|)`` score matrix held as the two factors of its product.
+
+    ``features @ candidates.T`` is the matrix (Eq. 18's query features
+    against every candidate embedding).  Ranking code computes it one row
+    block at a time with :meth:`rows`, so the whole matrix never exists.
+    A block cut by :func:`repro.nn.ops.tile_bounds` is bitwise equal to
+    the same rows of the whole product; its docstring says why a much
+    shorter block need not be.
+    """
+
+    features: np.ndarray      # (Q, d)
+    candidates: np.ndarray    # (|E|, d)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (len(self.features), len(self.candidates))
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.features, self.candidates)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Score rows ``[start, stop)`` as a fresh, writable array."""
+        return self.features[start:stop] @ self.candidates.T

@@ -17,17 +17,10 @@ import numpy as np
 
 from .tensor import Tensor, _unbroadcast, is_grad_enabled
 
-try:  # scipy accelerates the scatter primitives; ops degrade gracefully
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is a soft dependency
-    _sparse = None
-
-try:  # direct C entry point — skips ~15µs of `@`-operator dispatch per
-    # scatter (format/shape re-validation); output is bitwise identical
-    # because `csr_matvecs` is exactly what the dispatch bottoms out in.
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except Exception:  # pragma: no cover - private API; degrade to `@`
-    _csr_matvecs = None
+try:  # scipy's C scatter loop; ops degrade to ``np.add.at`` without it
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+except Exception:  # pragma: no cover - private API / soft dependency
+    _csc_matvecs = None
 
 IndexLike = Union[Tensor, np.ndarray, Sequence[int]]
 
@@ -35,59 +28,69 @@ IndexLike = Union[Tensor, np.ndarray, Sequence[int]]
 # index validation runs on every gather/scatter call).
 _INT_DTYPES: dict = {}
 
-# Cache of one-hot scatter matrices keyed by the index array's contents.
-# Graph snapshots are re-encoded every epoch with identical edge arrays,
-# so the CSR construction cost is paid once per distinct snapshot.
-_SCATTER_CACHE: "OrderedDict[tuple, object]" = None
-_SCATTER_CACHE_LIMIT = 1024
+# Byte budget of one tile of a no-grad pass: the per-edge gathers and
+# messages of one message-pass tile (:func:`fused_relational_pass`), or
+# one row block of a ``(Q, |E|)`` score matrix (``repro.eval.ranking``).
+TILE_BYTES = 1 << 20
+# No tile is cut shorter than this many rows (see :func:`tile_bounds`).
+MIN_TILE_ROWS = 64
 
 
-def _scatter_matrix(idx: np.ndarray, num_segments: int):
-    """CSR matrix M with M[idx[e], e] = 1 — scatter-add as a matmul."""
-    global _SCATTER_CACHE
-    if _sparse is None:
-        return None
-    if _SCATTER_CACHE is None:
-        from collections import OrderedDict
-        _SCATTER_CACHE = OrderedDict()
-    # dtype + length belong in the key: raw bytes alone collide across
-    # widths (int64 [0] and int32 [0, 0] serialize identically).
-    key = (idx.dtype.str, len(idx), idx.tobytes(), num_segments)
-    cached = _SCATTER_CACHE.get(key)
-    if cached is not None:
-        _SCATTER_CACHE.move_to_end(key)
-        return cached
-    num_edges = len(idx)
-    mat = _sparse.csr_matrix(
-        (np.ones(num_edges, dtype=np.float32),
-         (idx, np.arange(num_edges))),
-        shape=(num_segments, num_edges))
-    _SCATTER_CACHE[key] = mat
-    if len(_SCATTER_CACHE) > _SCATTER_CACHE_LIMIT:
-        _SCATTER_CACHE.popitem(last=False)
-    return mat
+def tile_bounds(num_rows: int, row_bytes: int) -> np.ndarray:
+    """Boundaries of near-equal row tiles of at most :data:`TILE_BYTES`.
+
+    Returns ``n + 1`` ascending offsets from 0 to ``num_rows`` (``[0, 0]``
+    for no rows).  A tile holds at most ``max(MIN_TILE_ROWS, TILE_BYTES
+    // row_bytes)`` rows, and the rows are split evenly, so when there is
+    more than one tile each has at least half that many.  That floor is
+    what keeps a tile's matmul bitwise equal to the same rows of the
+    whole product: BLAS libraries send one-row products to ``gemv`` and
+    very small ones to special small-matrix kernels, whose summation
+    order can differ from the blocked ``gemm`` of the whole matrix
+    (OpenBLAS 0.3.31 does both).
+    """
+    cap = max(MIN_TILE_ROWS, TILE_BYTES // max(int(row_bytes), 1))
+    count = max(1, -(-num_rows // cap))
+    return np.arange(count + 1) * num_rows // count
 
 
 def _scatter_add_rows(idx: np.ndarray, values: np.ndarray,
-                      num_segments: int) -> np.ndarray:
-    """Sum ``values`` rows into ``num_segments`` buckets (fast path)."""
-    mat = _scatter_matrix(idx, num_segments)
-    if mat is None:  # scipy unavailable: fall back to the ufunc
-        out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+                      num_segments: int,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum ``values`` rows into ``num_segments`` buckets by ``idx``.
+
+    Adds into ``out`` when given (it must be C-contiguous, with
+    ``num_segments`` rows), else into fresh zeros of the float32-promoted
+    dtype.  Each bucket receives its rows in index order, one addition at
+    a time, so scattering a run of rows in consecutive slices gives the
+    same bits as one scatter of the whole run.  The C loop (scipy's
+    ``csc_matvecs`` over the one-hot matrix ``M[idx[e], e] = 1`` with
+    one entry per column) needs no sort and no matrix build, so nothing
+    is memoized.
+    """
+    idx = np.ascontiguousarray(idx)
+    if idx.dtype != np.int32 and idx.dtype != np.int64:
+        idx = idx.astype(np.int64)
+    if out is None:
+        out = np.zeros((num_segments,) + values.shape[1:],
+                       dtype=np.promote_types(np.float32, values.dtype))
+    if len(idx) == 0:
+        return out
+    low, high = idx.min(), idx.max()
+    if low < 0 or high >= num_segments:
+        bad = low if low < 0 else high
+        raise IndexError(f"index {bad} is out of bounds for "
+                         f"{num_segments} segments")
+    if _csc_matvecs is None:  # scipy unavailable: the ufunc, same order
         np.add.at(out, idx, values)
         return out
-    if _csr_matvecs is not None and values.ndim <= 2:
-        vals = values[:, None] if values.ndim == 1 else values
-        vals = np.ascontiguousarray(vals)
-        n_vecs = vals.shape[1]
-        out = np.zeros((num_segments, n_vecs),
-                       dtype=np.promote_types(mat.dtype, vals.dtype))
-        _csr_matvecs(num_segments, vals.shape[0], n_vecs, mat.indptr,
-                     mat.indices, mat.data, vals.ravel(), out.ravel())
-        return out.reshape(num_segments) if values.ndim == 1 else out
-    if values.ndim == 1:
-        return np.asarray(mat @ values[:, None]).reshape(num_segments)
-    return np.asarray(mat @ values)
+    vals = np.ascontiguousarray(values, dtype=out.dtype)
+    n_vecs = vals.size // len(idx)
+    _csc_matvecs(num_segments, len(idx), n_vecs,
+                 np.arange(len(idx) + 1, dtype=idx.dtype), idx,
+                 np.ones(len(idx), dtype=out.dtype), vals.reshape(-1),
+                 out.reshape(-1))
+    return out
 
 
 def _index_array(index: IndexLike) -> np.ndarray:
@@ -103,44 +106,13 @@ def _index_array(index: IndexLike) -> np.ndarray:
     return arr
 
 
-# Cache of per-segment element counts (np.bincount results).  The edge
-# arrays of a snapshot are immutable, so the in-degree counts feeding
-# mean aggregation and the R-GCN normalizer would otherwise be recomputed
-# with identical inputs on every layer of every epoch.
-_COUNTS_CACHE: "OrderedDict[tuple, np.ndarray]" = None
-_COUNTS_CACHE_LIMIT = 2048
-
-
 def segment_counts(idx: np.ndarray, num_segments: int) -> np.ndarray:
-    """``np.bincount(idx, minlength=num_segments)``, memoized.
-
-    The returned int64 array is shared and read-only when served from
-    the cache; callers must copy before mutating.
-    """
-    global _COUNTS_CACHE
-    if _COUNTS_CACHE is None:
-        from collections import OrderedDict
-        _COUNTS_CACHE = OrderedDict()
-    key = (idx.dtype.str, len(idx), idx.tobytes(), num_segments)
-    cached = _COUNTS_CACHE.get(key)
-    if cached is not None:
-        _COUNTS_CACHE.move_to_end(key)
-        return cached
-    counts = np.bincount(idx, minlength=num_segments)
-    counts.setflags(write=False)
-    _COUNTS_CACHE[key] = counts
-    if len(_COUNTS_CACHE) > _COUNTS_CACHE_LIMIT:
-        _COUNTS_CACHE.popitem(last=False)
-    return counts
+    """``np.bincount(idx, minlength=num_segments)``: elements per segment."""
+    return np.bincount(idx, minlength=num_segments)
 
 
 def degree_norm(idx: np.ndarray, num_segments: int, dtype) -> np.ndarray:
-    """Per-segment ``1/max(count, 1)`` normalizer (Eq. 4's ``1/c_o``).
-
-    Counts come from the :func:`segment_counts` memo; the (cheap) cast
-    and reciprocal stay per-call so every float dtype sees the same
-    cached integer counts.
-    """
+    """Per-segment ``1/max(count, 1)`` normalizer (Eq. 4's ``1/c_o``)."""
     counts = segment_counts(idx, num_segments)
     return 1.0 / np.maximum(counts.astype(dtype), 1.0)
 
@@ -279,8 +251,8 @@ def segment_softmax(scores: Tensor, segment_ids: IndexLike,
     seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
     shifted = data - seg_max[idx]
     exp = np.exp(shifted)
-    # CSR scatter beats np.add.at by an order of magnitude on the
-    # repeated edge arrays of the encoder; same sums, same order.
+    # The C scatter beats np.add.at by an order of magnitude; same sums,
+    # same order.
     seg_sum = _scatter_add_rows(idx, exp, num_segments)
     out_data = exp / np.maximum(seg_sum[idx], 1e-12)
 
@@ -565,23 +537,40 @@ def fused_relational_pass(h: Tensor, r: Tensor, w_message: Tensor,
     the chain of index_select/segment ops in
     ``repro.graph.{rgcn,compgcn}`` but with one backward closure and no
     intermediate Tensor nodes.
+
+    The message pass runs over edge tiles (:func:`tile_bounds`): each
+    tile gathers, composes and transforms its edges and scatter-adds its
+    messages into the output, so no per-edge ``(E, d)`` array outlives
+    its tile.  Every destination still receives its messages in edge
+    order, added one at a time onto zeros, and a tile's matmul rows are
+    those of the whole product, so the output does not depend on the
+    tiling.  When autograd records the op, its backward needs every
+    edge's composed row, so the pass is one tile.
     """
     hd, rd = h.data, r.data
-    h_src = np.take(hd, src, axis=0)
-    r_edge = np.take(rd, rel, axis=0)
-    # Add and sub compose in place into the fresh gather; the backward
-    # of mult still needs ``h_src``.
-    if composition == "add":
-        composed = np.add(h_src, r_edge, out=h_src)
-    elif composition == "sub":
-        composed = np.subtract(h_src, r_edge, out=h_src)
-    elif composition == "mult":
-        composed = h_src * r_edge
-    else:
-        raise ValueError(f"unknown composition '{composition}'")
-    messages = composed @ w_message.data
-    norm = degree_norm(dst, num_nodes, messages.dtype)
-    aggregated = _scatter_add_rows(dst, messages, num_nodes)
+    records = is_grad_enabled() and any(
+        t.requires_grad for t in (h, r, w_message, w_self))
+    num_edges = len(dst)
+    bounds = ((0, num_edges) if records
+              else tile_bounds(num_edges, hd.shape[1] * hd.itemsize))
+    aggregated = None
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        h_src = np.take(hd, src[start:stop], axis=0)
+        r_edge = np.take(rd, rel[start:stop], axis=0)
+        # Add and sub compose in place into the fresh gather; the
+        # backward of mult still needs ``h_src``.
+        if composition == "add":
+            composed = np.add(h_src, r_edge, out=h_src)
+        elif composition == "sub":
+            composed = np.subtract(h_src, r_edge, out=h_src)
+        elif composition == "mult":
+            composed = h_src * r_edge
+        else:
+            raise ValueError(f"unknown composition '{composition}'")
+        aggregated = _scatter_add_rows(dst[start:stop],
+                                       composed @ w_message.data,
+                                       num_nodes, out=aggregated)
+    norm = degree_norm(dst, num_nodes, aggregated.dtype)
     aggregated *= norm[:, None]
     pre = hd @ w_self.data
     pre += aggregated            # IEEE addition commutes: same bits
@@ -686,15 +675,23 @@ def fused_time_gate_evolve(entities: Tensor, relations: Tensor,
     ``pooled = segment_mean(entities[src], rel); cand = pooled +
     relations; out = gate * cand + (1 - gate) * relations`` with ``gate
     = sigmoid(cand @ W + b)`` — ``segment_mean`` pooling followed by
-    the :class:`repro.nn.recurrent.TimeGate` update, in one node.
+    the :class:`repro.nn.recurrent.TimeGate` update, in one node.  The
+    pooling gathers and scatters over edge tiles (:func:`tile_bounds`;
+    its backward needs no gathered row), with the same sums as one
+    pass.
     """
     num_rel = relations.data.shape[0]
     ed, reld = entities.data, relations.data
-    vals = ed[src]
+    bounds = tile_bounds(len(src), ed.shape[1] * ed.itemsize)
+    total = None
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        total = _scatter_add_rows(rel[start:stop],
+                                  np.take(ed, src[start:stop], axis=0),
+                                  num_rel, out=total)
     counts = np.maximum(
-        segment_counts(rel, num_rel).astype(vals.dtype), 1.0)
+        segment_counts(rel, num_rel).astype(ed.dtype), 1.0)
     inv = 1.0 / counts
-    pooled = _scatter_add_rows(rel, vals, num_rel) * inv[:, None]
+    pooled = total * inv[:, None]
     cand = pooled + reld
     gate = 1.0 / (1.0 + np.exp(-(cand @ weight.data + bias.data)))
     out_data = gate * cand + (1.0 - gate) * reld
@@ -860,6 +857,84 @@ def fused_global_gate(global_agg: Tensor, query_key: Tensor,
     return Tensor._make(out_data, (global_agg, query_key, w6), backward)
 
 
+def _convtranse_features(sd: np.ndarray, rd: np.ndarray,
+                         subject_index: Optional[np.ndarray],
+                         relation_index: Optional[np.ndarray],
+                         conv_w: np.ndarray, conv_b: np.ndarray,
+                         fc_w: np.ndarray, fc_b: np.ndarray,
+                         dropout_rate: float,
+                         rng: Optional[np.random.Generator]):
+    """ConvTransE up to the ``(Q, d)`` query features, on raw arrays.
+
+    Gathers the query rows when an index is given, then stack ->
+    dropout -> conv1d(same) -> relu -> dropout -> fc -> relu -> dropout,
+    the three dropouts drawn in order only when ``dropout_rate`` is
+    positive.  Returns the features and what the backward of
+    :func:`fused_convtranse` reads: ``(padded, cols, w2, act1, flat,
+    pre2, mask1, mask2, mask3)``, the masks ``None`` without dropout.
+    """
+    if subject_index is not None:
+        sd = sd[subject_index]
+    if relation_index is not None:
+        rd = rd[relation_index]
+    num_q, dim = sd.shape
+    num_k, _, kw = conv_w.shape
+    keep = 1.0 - dropout_rate
+    mask1 = mask2 = mask3 = None
+
+    # Stack the two rows straight into the zero-padded conv input.
+    pad_left = (kw - 1) // 2
+    padded = np.zeros((num_q, 2, dim + kw - 1), dtype=np.result_type(sd, rd))
+    x = padded[:, :, pad_left:pad_left + dim]                  # (Q, 2, d)
+    x[:, 0] = sd
+    x[:, 1] = rd
+    if dropout_rate > 0.0:
+        mask1 = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+        x *= mask1
+    cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=2)
+    cols = cols.transpose(0, 2, 1, 3).reshape(num_q * dim, 2 * kw)
+    w2 = conv_w.reshape(num_k, 2 * kw)
+    # The bias add reads the (Q, d, K) conv output through a transposed
+    # view and writes C-order (Q, K, d) memory in the same pass (cheaper
+    # than any separate transpose copy); ReLU and the feature-map dropout
+    # then run in place, ``flat`` is a free reshape and the backward's
+    # masks are contiguous.  Same values as the strided-view
+    # expressions.
+    act1 = np.add((cols @ w2.T).reshape(num_q, dim, num_k).transpose(0, 2, 1),
+                  conv_b[:, None], order="C")                  # (Q, K, d)
+    np.maximum(act1, 0.0, out=act1)
+    if dropout_rate > 0.0:
+        mask2 = (rng.random(act1.shape) < keep).astype(act1.dtype) / keep
+        act1 *= mask2
+    flat = act1.reshape(num_q, num_k * dim)
+    pre2 = flat @ fc_w                                         # (Q, d)
+    pre2 += fc_b
+    act2 = np.maximum(pre2, 0.0)
+    if dropout_rate > 0.0:
+        mask3 = (rng.random(act2.shape) < keep).astype(act2.dtype) / keep
+        act2 *= mask3
+    return act2, (padded, cols, w2, act1, flat, pre2, mask1, mask2, mask3)
+
+
+def convtranse_features(subjects: Tensor, relations: Tensor,
+                        conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
+                        fc_b: Tensor, *,
+                        subject_index: Optional[np.ndarray] = None,
+                        relation_index: Optional[np.ndarray] = None
+                        ) -> np.ndarray:
+    """Eq. 18's ``(Q, d)`` query features at inference, as a plain array.
+
+    The eval-mode forward of :func:`fused_convtranse` without its last
+    product: ``fused_convtranse(subjects, relations, candidates, ...)``
+    equals ``features @ candidates.T`` bitwise, so a caller can form the
+    ``(Q, |E|)`` scores one row block at a time.  Records no autograd
+    graph and draws no dropout.
+    """
+    return _convtranse_features(subjects.data, relations.data, subject_index,
+                                relation_index, conv_w.data, conv_b.data,
+                                fc_w.data, fc_b.data, 0.0, None)[0]
+
+
 def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
                      conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
                      fc_b: Tensor, *, training: bool = False,
@@ -878,57 +953,24 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
     ``relations`` are full embedding matrices and the per-query row
     gather (plus its scatter-add backward) folds into this node too.
     """
-    sd, rd = subjects.data, relations.data
-    if subject_index is not None:
-        sd = sd[subject_index]
-    if relation_index is not None:
-        rd = rd[relation_index]
-    num_q, dim = sd.shape
-    num_k, _, kw = conv_w.shape
     drop = training and dropout_rate > 0.0
-    keep = 1.0 - dropout_rate
     if drop:
         rng = rng or np.random.default_rng()
-
-    # Stack the two rows straight into the zero-padded conv input.
+    act2, (padded, cols, w2, act1, flat, pre2, mask1, mask2, mask3) = \
+        _convtranse_features(subjects.data, relations.data, subject_index,
+                             relation_index, conv_w.data, conv_b.data,
+                             fc_w.data, fc_b.data,
+                             dropout_rate if drop else 0.0, rng)
+    num_q, dim = len(act2), subjects.data.shape[1]
+    num_k, _, kw = conv_w.shape
     pad_left = (kw - 1) // 2
-    padded = np.zeros((num_q, 2, dim + kw - 1), dtype=np.result_type(sd, rd))
-    x = padded[:, :, pad_left:pad_left + dim]                  # (Q, 2, d)
-    x[:, 0] = sd
-    x[:, 1] = rd
-    if drop:
-        mask1 = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-        x *= mask1
-    cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=2)
-    cols = cols.transpose(0, 2, 1, 3).reshape(num_q * dim, 2 * kw)
-    w2 = conv_w.data.reshape(num_k, 2 * kw)
-    # The bias add reads the (Q, d, K) conv output through a transposed
-    # view and writes C-order (Q, K, d) memory in the same pass (cheaper
-    # than any separate transpose copy); ReLU and the feature-map dropout
-    # then run in place, ``flat`` is a free reshape and the backward's
-    # masks are contiguous.  Same values as the strided-view
-    # expressions.  The conv output is dropped before the (Q, |E|)
-    # scores are allocated.
-    act1 = np.add((cols @ w2.T).reshape(num_q, dim, num_k).transpose(0, 2, 1),
-                  conv_b.data[:, None], order="C")             # (Q, K, d)
-    np.maximum(act1, 0.0, out=act1)
-    if drop:
-        mask2 = (rng.random(act1.shape) < keep).astype(act1.dtype) / keep
-        act1 *= mask2
-    flat = act1.reshape(num_q, num_k * dim)
-    pre2 = flat @ fc_w.data                                    # (Q, d)
-    pre2 += fc_b.data
-    act2 = np.maximum(pre2, 0.0)
-    if drop:
-        mask3 = (rng.random(act2.shape) < keep).astype(act2.dtype) / keep
-        act2 *= mask3
     out_data = act2 @ candidates.data.T                        # (Q, |E|)
 
     def backward(grad: np.ndarray) -> None:
         if candidates.requires_grad:
             candidates._accumulate(grad.T @ act2)
         g = grad @ candidates.data
-        if drop:
+        if mask3 is not None:
             g = g * mask3
         g = g * (pre2 > 0)
         if fc_w.requires_grad:
@@ -936,7 +978,7 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
         if fc_b.requires_grad:
             fc_b._accumulate(g.sum(axis=0))
         g = (g @ fc_w.data.T).reshape(num_q, num_k, dim)      # fresh array
-        if drop:
+        if mask2 is not None:
             g *= mask2
         # ReLU derivative: act1 > 0 exactly where the pre-activation is
         # (a dropout scale is positive, and dropped entries are zero in g).
@@ -951,7 +993,7 @@ def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,
         for j in range(kw):
             gpad[:, :, j:j + dim] += gcols[:, :, :, j]
         gx = gpad[:, :, pad_left:pad_left + dim]
-        if drop:
+        if mask1 is not None:
             gx = gx * mask1
         if subjects.requires_grad:
             g_subj = gx[:, 0]

@@ -7,8 +7,10 @@ facts of ``t`` before moving to ``t+1``.  Historical facts in the test
 period thereby update the model, which is why online results dominate
 offline ones for every model in Fig. 10.
 
-Ranking goes through the same batched kernel as the offline protocol
-(:func:`repro.eval.ranking.batch_ranks_vectorized`).
+Scoring and ranking go through the same paths as the offline protocol
+(:func:`repro.eval.protocol.batch_scores`, then
+:func:`repro.eval.ranking.batch_ranks_vectorized`), so no ``(Q, |E|)``
+score matrix is formed for models with the split scoring API.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..eval.metrics import RankingAccumulator
+from ..eval.protocol import batch_scores, reuse_context_enabled
 from ..eval.ranking import batch_ranks_vectorized
 from ..interface import ExtrapolationModel
 from ..nn import Adam, clip_grad_norm
@@ -71,9 +74,13 @@ def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
         group = by_time[t]
         # 1. predict (eval mode, filtered ranking)
         model.eval()
+        # Both phases of t share one encoder context (the model does not
+        # change between them); a fresh memo per timestamp drops it
+        # before the adaptation below.
+        context_memo = {} if reuse_context_enabled(model) else None
         with telemetry.span("predict"):
             for batch in group:
-                scores = model.predict_on(batch)
+                scores = batch_scores(model, batch, context_memo)
                 accumulator.add_ranks(batch_ranks_vectorized(
                     scores, batch, time_filter))
                 telemetry.incr("queries_evaluated", len(batch))

@@ -92,8 +92,8 @@ class TestByteAliasedKeys:
         assert first == "wide-entry" and second == "narrow-entry"
 
     def test_scatter_cache_key_includes_dtype_and_length(self):
-        # Same defect class in repro.nn.ops._SCATTER_CACHE (fixed PR 7):
-        # scatter matrices for byte-aliased index arrays must differ.
+        # Same defect class as the encoder's former scatter memo:
+        # scatters over byte-aliased index arrays must differ.
         from repro.nn.ops import _scatter_add_rows
         from repro.perf import clear_perf_caches
         clear_perf_caches()

@@ -37,6 +37,18 @@ class TestBatchedParity:
         assert online == oracle           # exact float equality, whole row
         assert online["count"] == 2 * len(dataset.test)
 
+    def test_logcl_factored_scores_match_legacy_bitwise(self, dataset):
+        """LogCL's scores reach the ranking kernel as factors, ranked in
+        row blocks, its two phases sharing one context; the oracle
+        scores every batch with ``predict_on``.  Rows equal bitwise."""
+        config = OnlineConfig(window=2)
+        online = evaluate_online(
+            build_model("logcl", dataset, dim=8, seed=0), dataset, config)
+        oracle = reference_evaluate_online(
+            build_model("logcl", dataset, dim=8, seed=0), dataset, config)
+        assert online == oracle
+        assert online["count"] == 2 * len(dataset.test)
+
     def test_parity_holds_for_trained_model(self, dataset):
         """Same check on a non-degenerate scorer (ties broken by data)."""
         from repro import TrainConfig, Trainer

@@ -12,13 +12,18 @@ store afresh, builds a new ``HistoryContext`` and runs time-aware
 filtered ``evaluate``, so no cache outlives a pass.  The first pass
 builds the time-aware filter and is not measured.
 
+Like the benchmark's processes, it runs numpy on one BLAS/OpenMP
+thread (set before numpy loads), so its stage split is the benchmark's.
+
 Prints the ``write_store`` time (the median of ``--passes`` writes:
 the store's triple index is derived there, so a cold pass need not
 sort) and the store's bytes per fact; then, for ``--passes``
 unprofiled passes, the median wall time and the minor page faults per
-pass (``getrusage`` of this process), then for as many passes under
-cProfile the cumulative time per stage and the ``--top`` functions by
-self time (``tottime``)::
+pass (``getrusage`` of this process); then, from one more pass under
+``tracemalloc``, each stage's allocation peak above what was live when
+it began, and the process's peak resident set (``VmHWM``); then for
+``--passes`` passes under cProfile the cumulative time per stage and
+the ``--top`` functions by self time (``tottime``)::
 
     PYTHONPATH=src python tools/profile_eval.py --passes 10 --top 25
     make profile-eval PASSES=20
@@ -26,15 +31,24 @@ self time (``tottime``)::
 
 from __future__ import annotations
 
-import argparse
-import cProfile
 import os
-import pstats
-import resource
-import statistics
-import sys
-import tempfile
-import time
+
+# One BLAS/OpenMP thread, as in every benchmark process; it must be set
+# before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import cProfile  # noqa: E402
+import importlib  # noqa: E402
+import pstats  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 
 # The benchmark's workload definitions, read from its directory; it
 # imports its sibling ``common`` the same way.
@@ -44,18 +58,40 @@ from workloads import DIM, FULL, WINDOW, make_dataset  # noqa: E402
 
 SEED = 0
 
-# (stage, source file suffix, function name): the layers a cold pass
-# runs, each read as its cumulative time under cProfile.
+# (stage, module, qualified function name): the layers a cold pass
+# runs, each read as its cumulative time under cProfile and as its
+# allocation peak under tracemalloc.
 STAGES = (
-    ("open_store", "data/storefile.py", "open_store"),
-    ("subgraph (§III-D)", "core/subgraph.py", "subgraph_for_queries"),
-    ("local walk (Eq. 4-8)", "core/local_encoder.py", "encode_window"),
-    ("local attend (Eq. 9-11)", "core/local_encoder.py", "attend"),
-    ("global R-GCN (Eq. 12)", "core/global_encoder.py", "forward"),
-    ("decoder (Eq. 18)", "core/model.py", "score_queries"),
-    ("filter mask", "tkg/filtering.py", "mask_indices_for_batch"),
-    ("rank", "eval/metrics.py", "ranks_of_targets"),
+    ("open_store", "repro.data.storefile", "open_store"),
+    ("subgraph (§III-D)", "repro.core.subgraph",
+     "GlobalHistoryIndex.subgraph_for_queries"),
+    ("local walk (Eq. 4-8)", "repro.core.local_encoder",
+     "LocalRecurrentEncoder.encode_window"),
+    ("local attend (Eq. 9-11)", "repro.core.local_encoder",
+     "LocalRecurrentEncoder.attend"),
+    ("global R-GCN (Eq. 12)", "repro.core.global_encoder",
+     "GlobalHistoryEncoder.forward"),
+    ("decoder features (Eq. 18)", "repro.core.model", "LogCL.score_queries"),
+    ("decoder product (Eq. 18)", "repro.interface", "ScoreFactors.rows"),
+    ("filter mask", "repro.tkg.filtering",
+     "TimeAwareFilter.mask_indices_for_batch"),
+    ("rank", "repro.eval.metrics", "ranks_of_targets"),
 )
+
+
+def _stage_target(module: str, qualname: str):
+    """``(owner, attribute, function)`` of one stage's entry point, or
+    ``None`` when this checkout does not define it."""
+    owner = importlib.import_module(module)
+    *path, attr = qualname.split(".")
+    for name in path:
+        owner = getattr(owner, name, None)
+    func = getattr(owner, "__dict__", {}).get(attr)
+    return None if func is None else (owner, attr, func)
+
+
+def _source_suffix(module: str) -> str:
+    return module.split(".", 1)[1].replace(".", "/") + ".py"
 
 
 def stage_times(stats: pstats.Stats, passes: int):
@@ -63,10 +99,73 @@ def stage_times(stats: pstats.Stats, passes: int):
     totals = {name: 0.0 for name, _, _ in STAGES}
     for (path, _line, func), (_cc, _nc, _tt, cumtime, _callers) in \
             stats.stats.items():
-        for name, suffix, wanted in STAGES:
-            if func == wanted and path.replace(os.sep, "/").endswith(suffix):
+        for name, module, qualname in STAGES:
+            if (func == qualname.rsplit(".", 1)[-1] and path.replace(
+                    os.sep, "/").endswith(_source_suffix(module))):
                 totals[name] += cumtime
     return [(name, 1e3 * total / passes) for name, total in totals.items()]
+
+
+@contextmanager
+def stage_peaks():
+    """Trace allocations; yields ``{stage: bytes}``, filled on exit.
+
+    Each stage's entry point is wrapped: a call records the traced
+    peak above what was live when it began, and a stage keeps its
+    largest call.  A stage entered inside another still counts toward
+    the outer one's peak.
+    """
+    peaks = {name: 0 for name, _, _ in STAGES}
+    active = []                        # [stage, live at entry, peak seen]
+    patched = []
+
+    def wrap(name, func):
+        def traced(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            for frame in active:
+                frame[2] = max(frame[2], peak)
+            tracemalloc.reset_peak()
+            frame = [name, current, current]
+            active.append(frame)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                for outer in active:
+                    outer[2] = max(outer[2], peak)
+                active.pop()
+                peaks[name] = max(peaks[name], frame[2] - frame[1])
+        return traced
+
+    for name, module, qualname in STAGES:
+        target = _stage_target(module, qualname)
+        if target is None:
+            del peaks[name]
+            continue
+        owner, attr, func = target
+        # ``open_store`` is also re-exported by ``repro.data``.
+        owners = [owner] + [mod for mod in list(sys.modules.values())
+                            if mod is not owner and getattr(
+                                mod, attr, None) is func]
+        for target in owners:
+            patched.append((target, attr, func))
+            setattr(target, attr, wrap(name, func))
+    tracemalloc.start()
+    try:
+        yield peaks
+    finally:
+        tracemalloc.stop()
+        for target, attr, func in reversed(patched):
+            setattr(target, attr, func)
+
+
+def vm_hwm_mb() -> float:
+    """This process's peak resident set (``VmHWM``), in MB."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    return float("nan")
 
 
 def main(argv=None) -> int:
@@ -114,6 +213,9 @@ def main(argv=None) -> int:
             if row != reference:
                 raise SystemExit("metric row changed between cold passes")
 
+        with stage_peaks() as peaks:
+            cold_pass()
+
         profiler = cProfile.Profile()
         for _ in range(args.passes):
             profiler.enable()
@@ -133,10 +235,16 @@ def main(argv=None) -> int:
           f"{statistics.median(faults):.0f}")
     print(f"  metric row: mrr {reference['mrr']:.4f} over "
           f"{reference['count']:.0f} queries")
+    print(f"  peak resident set (VmHWM): {vm_hwm_mb():.1f} MB")
+    print("\nper-stage allocation peak under tracemalloc, one pass, MiB "
+          "above what was live at the stage's entry:")
+    for name, _, _ in STAGES:
+        print(f"  {name:<26} " + (f"{peaks[name] / 2**20:8.2f}"
+                                  if name in peaks else "     n/a"))
     stats = pstats.Stats(profiler, stream=sys.stdout)
     print(f"\nper-stage cumulative time under cProfile, ms per pass:")
     for name, ms in stage_times(stats, args.passes):
-        print(f"  {name:<24} {ms:8.1f}")
+        print(f"  {name:<26} {ms:8.1f}")
     print()
     stats.strip_dirs().sort_stats("tottime").print_stats(args.top)
     return 0

@@ -5,9 +5,11 @@ Trains LogCL at dim 32, window 3 on the ``icews14_like`` preset through
 the public API, one ``Trainer.fit`` epoch (with its validation pass) at a
 time and sharing one ``HistoryContext`` across epochs, as the epochs of
 one longer fit do.  The first epoch fills the subgraph caches and is not
-profiled; the next ``--epochs`` epochs are.  Prints the warm epoch times,
-then the ``--top`` functions by self time (``tottime``), so a train-step
-optimisation can start from where the time actually goes::
+profiled; the next ``--epochs`` epochs are.  Like the benchmark's
+processes, it runs numpy on one BLAS/OpenMP thread (set before numpy
+loads).  Prints the warm epoch times, then the ``--top`` functions by
+self time (``tottime``), so a train-step optimisation can start from
+where the time actually goes::
 
     PYTHONPATH=src python tools/profile_train.py --epochs 3 --top 25
     make profile-train EPOCHS=5
@@ -15,11 +17,18 @@ optimisation can start from where the time actually goes::
 
 from __future__ import annotations
 
-import argparse
-import cProfile
-import pstats
-import sys
-import time
+import os
+
+# One BLAS/OpenMP thread, as in every benchmark process; it must be set
+# before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import cProfile  # noqa: E402
+import pstats  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
 
 DIM = 32
 WINDOW = 3
