@@ -25,15 +25,14 @@ from .ranking import batch_ranks_vectorized
 
 FILTER_SETTINGS = ("time-aware", "raw", "static")
 
-# Dataset-keyed memo of evaluation filters.  Building one augments every
-# split with inverses and sorts all of their facts (tens of milliseconds
-# at 0.3M facts); repeated evaluations of one benchmark (training-loop
-# eval epochs, the benchmark tables, the per-filter parity sweep) keep
-# it, together with its per-batch mask memo, across calls.  Entries
-# hold a strong reference to the dataset so an ``id()`` can never be
-# recycled while its entry is alive; ``evaluate``-built filters are
-# read-only (nothing calls ``add_facts`` on them), which is what makes
-# sharing safe.
+# Dataset-keyed memo of evaluation filters.  A filter sorts each
+# timestamp's facts the first time a query reaches it, so repeated
+# evaluations of one benchmark (training-loop eval epochs, the benchmark
+# tables, the per-filter parity sweep) keep those blocks, together with
+# the per-batch mask memo, across calls.  Entries hold a strong
+# reference to the dataset so an ``id()`` can never be recycled while
+# its entry is alive; ``evaluate``-built filters are read-only (nothing
+# calls ``add_facts`` on them), which is what makes sharing safe.
 _FILTER_MEMO: "OrderedDict[Tuple[int, str], tuple]" = OrderedDict()
 _FILTER_MEMO_LIMIT = 8
 
@@ -42,8 +41,12 @@ def _build_filters(dataset: TKGDataset, filter_setting: str
                    ) -> Tuple[Optional[TimeAwareFilter], Optional[StaticFilter]]:
     """The (time_filter, static_filter) pair for one setting, memoized.
 
-    The raw setting indexes nothing — the inverse-augmented fact build
-    is skipped entirely rather than constructed and discarded.
+    The one filter construction of the offline and online protocols.
+    Both filters index the raw splits as they are, with their inverses
+    filed alongside (``inverse_relations``), so inverse-phase queries
+    are filtered symmetrically without an augmented copy of the
+    history; construction sorts nothing (see
+    :mod:`repro.tkg.filtering`).  The raw setting indexes nothing.
     """
     if filter_setting == "raw":
         return None, None
@@ -52,13 +55,10 @@ def _build_filters(dataset: TKGDataset, filter_setting: str
     if entry is not None and entry[0] is dataset:
         _FILTER_MEMO.move_to_end(key)
         return entry[1], entry[2]
-    # Filters must see the inverse-augmented facts of every split so
-    # that inverse-phase queries are filtered symmetrically.
-    augmented = [quads.with_inverses(dataset.num_relations)
-                 for quads in dataset.splits().values()]
-    time_filter = (TimeAwareFilter(augmented)
+    splits = dataset.splits().values()
+    time_filter = (TimeAwareFilter(splits, dataset.num_relations)
                    if filter_setting == "time-aware" else None)
-    static_filter = (StaticFilter(augmented)
+    static_filter = (StaticFilter(splits, dataset.num_relations)
                      if filter_setting == "static" else None)
     _FILTER_MEMO[key] = (dataset, time_filter, static_filter)
     if len(_FILTER_MEMO) > _FILTER_MEMO_LIMIT:

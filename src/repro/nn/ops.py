@@ -929,10 +929,25 @@ def convtranse_features(subjects: Tensor, relations: Tensor,
     equals ``features @ candidates.T`` bitwise, so a caller can form the
     ``(Q, |E|)`` scores one row block at a time.  Records no autograd
     graph and draws no dropout.
+
+    Runs conv and fc one :func:`tile_bounds` block of query rows at a
+    time, each row once, so the ``(Q*d, K)`` conv output and ``(Q, K,
+    d)`` feature map never exist for the whole batch.  Every step is
+    row-wise, so the features equal the whole batch's bitwise.
     """
-    return _convtranse_features(subjects.data, relations.data, subject_index,
-                                relation_index, conv_w.data, conv_b.data,
-                                fc_w.data, fc_b.data, 0.0, None)[0]
+    sd, rd = subjects.data, relations.data
+    num_q = len(sd if subject_index is None else subject_index)
+    num_k, dim = conv_w.shape[0], sd.shape[1]
+    bounds = tile_bounds(num_q, num_k * dim * sd.itemsize)
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        blocks.append(_convtranse_features(
+            sd[lo:hi] if subject_index is None else sd,
+            rd[lo:hi] if relation_index is None else rd,
+            None if subject_index is None else subject_index[lo:hi],
+            None if relation_index is None else relation_index[lo:hi],
+            conv_w.data, conv_b.data, fc_w.data, fc_b.data, 0.0, None)[0])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def fused_convtranse(subjects: Tensor, relations: Tensor, candidates: Tensor,

@@ -356,11 +356,11 @@ class InferenceEngine:
         memory and are recorded, so :meth:`serving_state` stays
         replayable as (backing path + delta facts).
 
-        The mapped facts are also loaded into the time-aware filter
-        (``filtered`` predictions need it): one vectorized sort of the
-        store's columns, a few tens of milliseconds at 0.3M facts (see
-        :mod:`repro.tkg.filtering`).  Returns the number of augmented
-        facts mapped.
+        The time-aware filter (``filtered`` predictions need it) takes
+        the mapped columns as they are: no copy and no sort, only an
+        O(n) id and time-order check.  Each timestamp's block is sorted
+        when a query first reaches it (see :mod:`repro.tkg.filtering`).
+        Returns the number of augmented facts mapped.
         """
         # Lazy import: repro.serving must not require repro.data unless
         # a backing file is actually used (and repro.data imports the
@@ -371,11 +371,11 @@ class InferenceEngine:
             raise ValueError(
                 f"store file holds {store.num_relations} relations, "
                 f"engine expects {self.num_relations}")
-        self._delta = DeltaState(history=store, filter=TimeAwareFilter([]),
-                                 last_time=store.last_time)
         info, arrays = map_columns(path)
-        self.filter.add_facts(np.stack(
-            [arrays["s"], arrays["r"], arrays["o"], arrays["t"]], axis=1))
+        self._delta = DeltaState(
+            history=store, last_time=store.last_time,
+            filter=TimeAwareFilter([tuple(arrays[name]
+                                          for name in ("s", "r", "o", "t"))]))
         self.cache.clear()
         self._score_cache.clear()
         self._read_state = replace(self._read_state,

@@ -9,29 +9,48 @@ nothing.  All three are provided.
 
 Storage model
 -------------
-Both filters keep their facts as three int64 columns
-(:class:`_ObjectRuns`) over the distinct ``(t, s, r, o)`` rows in
-lexicographic order: the time, a *pair key* ``s * 2**32 + (r + 2**31)``
-and the object (the static filter files every fact under time 0).  The
-rows of one timestamp form a block with ascending pair keys, and a
-pair's objects ascend within its run.  No python object exists per
-fact:
+Both filters keep the caller's facts as they come, in time order, and
+sort one timestamp at a time, only when that timestamp is first asked
+about (:class:`_FactBlocks`).  No python object exists per fact:
 
-* building sorts one packed int64 key per row (``np.lexsort`` over the
-  columns when the key would overflow) and drops duplicates;
-* ``add_facts`` sorts only the k new rows.  Rows past the last stored
-  timestamp (every serving ``advance``) are appended in place into
-  spare capacity; rows at stored timestamps are re-sorted together with
-  the blocks of the timestamps they span;
-* ``mask_indices_for_batch`` finds the query time's block and runs two
-  ``searchsorted`` calls over it for the whole query batch, then a
-  vectorized range expansion.
+* **construction** is O(n) and sorts nothing: each fact source (a
+  :class:`QuadrupleSet`, or ``(s, r, o, t)`` columns such as a mapped
+  ``.hst`` store's) is kept as views of its columns, with the
+  int32 id-range check and a check that its time column is sorted
+  (``QuadrupleSet`` order and the store's sections are), which also
+  yields the row range of every timestamp.  With ``inverse_relations``
+  set, every
+  fact also files its inverse ``(o, r + inverse_relations, s)``, so the
+  raw splits stand in for their inverse-augmented copy;
+* the first query at time ``t`` (``mask_indices_for_batch``,
+  ``true_objects``) builds ``t``'s *block* from ``t``'s rows only: the
+  distinct ``(pair key, object)`` rows in ascending order, with the
+  pair key ``s * 2**32 + (r + 2**31)``.  A pair's objects form one run
+  of the block.  The block sorts one packed int64 key per row
+  (``np.lexsort`` over the columns when the key would overflow) and
+  drops duplicates; it is memoized;
+* ``add_facts`` checks the ids of the k new rows and files them under
+  their timestamps, O(k) for one snapshot (every serving ``advance``);
+  it drops the memoized blocks of exactly those timestamps, so the next
+  query at a stored time re-derives that block alone;
+* ``mask_indices_for_batch`` runs two ``searchsorted`` calls over the
+  query time's block for the whole query batch, then a vectorized range
+  expansion.
+
+The static filter is the same structure with every fact under one key:
+its single block holds all facts and is built on first use.
+
+Concurrency: a query may build and memoize a block, so a filter is not
+safe for unsynchronized concurrent use.  Serving relies on the engine's
+existing serialization (the daemon's one-thread executor, the lock of a
+``LocalReplica``); evaluation is single-threaded.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -53,6 +72,10 @@ _PAIR_STRIDE = 1 << 32
 _PAIR_BIAS = 1 << 31
 _ID_MIN = int(np.iinfo(FACT_DTYPE).min)
 _ID_MAX = int(np.iinfo(FACT_DTYPE).max)
+
+# A fact source: a QuadrupleSet or its ``(s, r, o, t)`` columns.
+FactSource = Union[QuadrupleSet, Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.ndarray]]
 
 
 def _pair_keys(subjects: np.ndarray, relations: np.ndarray) -> np.ndarray:
@@ -111,104 +134,152 @@ def _expand_runs(lo: np.ndarray, hi: np.ndarray
     return rows, np.arange(len(rows)) + np.repeat(lo - firsts, counts)
 
 
-class _ObjectRuns:
-    """Sorted distinct ``(t, s, r, o)`` rows as columns (see "Storage
-    model" above).
+def _check_ids(columns: Sequence[np.ndarray]) -> None:
+    """Raise unless every id of ``columns`` fits :data:`FACT_DTYPE` (the
+    pair key's range).  Free for columns already of a narrower type."""
+    for col in columns:
+        if (len(col) and not np.can_cast(col.dtype, FACT_DTYPE)
+                and (int(col.min()) < _ID_MIN or int(col.max()) > _ID_MAX)):
+            raise ValueError("filter subject and relation ids must fit "
+                             f"{np.dtype(FACT_DTYPE).name}")
 
-    The columns are views of the first ``size`` rows of one ``(3,
-    capacity)`` buffer whose capacity at least doubles when it fills, so
-    a run of appends past the last timestamp costs amortized O(k), not
-    O(stored rows).
-    """
 
-    def __init__(self):
-        self._buffer = np.empty((3, 0), dtype=np.int64)
-        self._set_size(0)
+class _Source:
+    """One time-ordered fact source: column views plus the row range
+    ``[offsets[i], offsets[i + 1])`` of each distinct time ``times[i]``.
+    ``t=None`` files every row under one time, 0 (the static filter)."""
 
-    def _set_size(self, size: int) -> None:
-        self.times, self.pairs, self.objects = self._buffer[:, :size]
+    def __init__(self, s: np.ndarray, r: np.ndarray, o: np.ndarray,
+                 t: Optional[np.ndarray]):
+        n = len(s)
+        if t is None:
+            self.times = np.zeros(1, dtype=np.int64)
+            self.offsets = np.array([0, n], dtype=np.int64)
+        else:
+            if n > 1 and not bool(np.all(t[1:] >= t[:-1])):
+                raise ValueError("filter fact columns must be sorted by "
+                                 "time")
+            starts = np.flatnonzero(t[1:] != t[:-1]) + 1
+            self.times = t[np.concatenate(([0], starts))].astype(np.int64)
+            self.offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
+        self.s, self.r, self.o = s, r, o
+
+    def rows_at(self, time: int) -> Optional[slice]:
+        i = int(self.times.searchsorted(time))
+        if i == len(self.times) or self.times[i] != time:
+            return None
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+
+class _FactBlocks:
+    """Facts by time, sorted one timestamp block at a time on demand
+    (see "Storage model" above).  ``by_time=False`` files every fact
+    under time 0."""
+
+    def __init__(self, sources: Iterable[FactSource],
+                 inverse_relations: Optional[int], by_time: bool = True):
+        self._inverse = (None if inverse_relations is None
+                         else int(inverse_relations))
+        self._sources: List[_Source] = []
+        for source in sources:
+            if isinstance(source, QuadrupleSet):
+                source = tuple(source.array.T)
+            s, r, o, t = (np.asarray(col) for col in source)
+            if not (len(s) == len(r) == len(o) == len(t)):
+                raise ValueError("fact columns must have equal lengths")
+            if len(s):
+                self._check(s, r, o)
+                self._sources.append(_Source(s, r, o, t if by_time else None))
+        # Rows from add_facts, filed per time as (k, 3) arrays.
+        self._added: Dict[int, List[np.ndarray]] = {}
+        self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _check(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> None:
+        """Raise at ingestion, not at the first query, for ids past the
+        pair key's range (the inverse's subject and relation included)."""
+        if self._inverse is None:
+            _check_ids((s, r))
+            return
+        _check_ids((s, r, o))
+        if len(r) and (int(r.max()) + self._inverse > _ID_MAX
+                       or int(r.min()) + self._inverse < _ID_MIN):
+            raise ValueError("filter inverse relation ids must fit "
+                             f"{np.dtype(FACT_DTYPE).name}")
 
     def add(self, rows: np.ndarray) -> None:
-        """Index ``(k, 4)`` ``(s, r, o, t)`` rows; repeats are dropped."""
+        """File ``(k, 4)`` ``(s, r, o, t)`` rows; repeats are dropped
+        when a block is built."""
         rows = np.asarray(rows).reshape(-1, 4)
         if not len(rows):
             return
-        s, r, o, t = (rows[:, col] for col in range(4))
-        if (min(int(s.min()), int(r.min())) < _ID_MIN
-                or max(int(s.max()), int(r.max())) > _ID_MAX):
-            raise ValueError("filter subject and relation ids must fit "
-                             f"{np.dtype(FACT_DTYPE).name}")
-        size = len(self.times)
-        t, s, r, o = _sorted_rows([t, s, r, o])
-        lo = int(np.searchsorted(self.times, t[0]))
-        hi = size
-        if lo < size:
-            # The new rows share timestamps with stored ones: re-sort
-            # the stored rows of the timestamps they span together with
-            # them (the rows around that window are kept as they are).
-            hi = int(np.searchsorted(self.times, t[-1], side="right"))
-            stored = self.pairs[lo:hi]
-            t, s, r, o = _sorted_rows([
-                np.concatenate(pair) for pair in zip(
-                    (self.times[lo:hi], stored // _PAIR_STRIDE,
-                     stored % _PAIR_STRIDE - _PAIR_BIAS,
-                     self.objects[lo:hi]), (t, s, r, o))])
-        pairs = _pair_keys(s, r)
-        end = lo + len(t)
-        needed = end + size - hi
-        buffer = self._buffer
-        if needed > buffer.shape[1]:
-            buffer = np.empty((3, max(needed, 2 * buffer.shape[1], 1024)),
-                              dtype=np.int64)
-            buffer[:, :lo] = self._buffer[:, :lo]
-        # Shifts the rows past the window right; numpy copies through a
-        # temporary when the two ranges overlap.
-        buffer[:, end:needed] = self._buffer[:, hi:size]
-        self._buffer = buffer
-        self._buffer[0, lo:end] = t
-        self._buffer[1, lo:end] = pairs
-        self._buffer[2, lo:end] = o
-        self._set_size(needed)
+        self._check(rows[:, 0], rows[:, 1], rows[:, 2])
+        times = rows[:, 3]
+        if len(rows) > 1 and times.min() != times.max():
+            order = np.argsort(times, kind="stable")
+            rows, times = rows[order], times[order]
+        starts = np.flatnonzero(times[1:] != times[:-1]) + 1
+        bounds = np.concatenate(([0], starts, [len(rows)]))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            time = int(times[lo])
+            self._added.setdefault(time, []).append(rows[lo:hi, :3].copy())
+            self._blocks.pop(time, None)
 
-    def runs(self, time: int, subjects: np.ndarray, relations: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Row range ``[lo, hi)`` of each ``(subject, relation)`` pair's
-        objects at ``time`` (empty where none is known)."""
-        first = int(np.searchsorted(self.times, time))
-        end = int(np.searchsorted(self.times, time, side="right"))
-        if first == end:
+    def block(self, time: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pair keys, objects)`` of the distinct facts at ``time``, in
+        ascending order; built on the first call and memoized."""
+        block = self._blocks.get(time)
+        if block is not None:
+            return block
+        s_parts, r_parts, o_parts = [], [], []
+        for source in self._sources:
+            rows = source.rows_at(time)
+            if rows is not None:
+                s_parts.append(source.s[rows])
+                r_parts.append(source.r[rows])
+                o_parts.append(source.o[rows])
+        for rows in self._added.get(time, ()):
+            s_parts.append(rows[:, 0])
+            r_parts.append(rows[:, 1])
+            o_parts.append(rows[:, 2])
+        if not s_parts:
             return _EMPTY, _EMPTY
-        keys = _pair_keys(subjects, relations)
-        pairs = self.pairs[first:end]
-        lo = np.searchsorted(pairs, keys) + first
-        hi = np.searchsorted(pairs, keys, side="right") + first
-        # Out-of-range ids would wrap the pair key onto a real pair.
-        wide = ((subjects < _ID_MIN) | (subjects > _ID_MAX)
-                | (relations < _ID_MIN) | (relations > _ID_MAX))
-        hi[wide] = lo[wide]
-        return lo, hi
+        s, r, o = (np.concatenate(parts).astype(np.int64, copy=False)
+                   for parts in (s_parts, r_parts, o_parts))
+        if self._inverse is not None:
+            s, r, o = (np.concatenate((s, o)),
+                       np.concatenate((r, r + self._inverse)),
+                       np.concatenate((o, s)))
+        s, r, o = _sorted_rows([s, r, o])
+        block = self._blocks[time] = (_pair_keys(s, r), o)
+        return block
 
     def true_objects(self, time: int, s: int, r: int) -> FrozenSet[int]:
-        # :meth:`runs` for one pair on python scalars: no temporary
-        # arrays for a lone lookup.
+        # :meth:`mask_indices`' run lookup for one pair on python
+        # scalars: no temporary arrays for a lone lookup.
         if not (_ID_MIN <= s <= _ID_MAX and _ID_MIN <= r <= _ID_MAX):
             return frozenset()
-        first = int(self.times.searchsorted(time))
-        pairs = self.pairs[first:int(self.times.searchsorted(
-            time, side="right"))]
+        pairs, objects = self.block(time)
         key = s * _PAIR_STRIDE + (r + _PAIR_BIAS)
-        lo = first + int(pairs.searchsorted(key))
-        hi = first + int(pairs.searchsorted(key, side="right"))
-        return frozenset(self.objects[lo:hi].tolist())
+        lo = int(pairs.searchsorted(key))
+        hi = int(pairs.searchsorted(key, side="right"))
+        return frozenset(objects[lo:hi].tolist())
 
     def mask_indices(self, time: int, subjects: np.ndarray,
                      relations: np.ndarray, targets: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.runs(time, subjects, relations)
-        if not len(lo):
+        pairs, objects = self.block(time)
+        if not len(pairs):
             return _EMPTY, _EMPTY.copy()
+        # Each (subject, relation) pair's run [lo, hi) in the block.
+        keys = _pair_keys(subjects, relations)
+        lo = np.searchsorted(pairs, keys)
+        hi = np.searchsorted(pairs, keys, side="right")
+        # Out-of-range ids would wrap the pair key onto a real pair.
+        wide = ((subjects < _ID_MIN) | (subjects > _ID_MAX)
+                | (relations < _ID_MIN) | (relations > _ID_MAX))
+        hi[wide] = lo[wide]
         rows, at = _expand_runs(lo, hi)
-        cols = self.objects[at]
+        cols = objects[at]
         keep = cols != targets[rows]
         return rows[keep], cols[keep]
 
@@ -220,7 +291,7 @@ class _MaskMemo:
         self._cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
             = OrderedDict()
 
-    def get(self, runs: _ObjectRuns, time: int, subjects: Sequence[int],
+    def get(self, blocks: _FactBlocks, time: int, subjects: Sequence[int],
             relations: Sequence[int], targets: Sequence[int]
             ) -> Tuple[np.ndarray, np.ndarray]:
         subjects = np.ascontiguousarray(subjects, dtype=np.int64)
@@ -236,7 +307,7 @@ class _MaskMemo:
         if cached is not None:
             self._cache.move_to_end(key)
             return cached
-        packed = runs.mask_indices(time, subjects, relations, targets)
+        packed = blocks.mask_indices(time, subjects, relations, targets)
         self._cache[key] = packed
         if len(self._cache) > _MASK_CACHE_SIZE:
             self._cache.popitem(last=False)
@@ -246,22 +317,25 @@ class _MaskMemo:
         self._cache.clear()
 
 
-def _fact_rows(facts: Iterable[QuadrupleSet]) -> np.ndarray:
-    arrays = [quad_set.array for quad_set in facts]
-    return np.concatenate(arrays) if arrays else _EMPTY.reshape(0, 4)
-
-
 class TimeAwareFilter:
-    """Index of true objects keyed by (subject, relation, time)."""
+    """Index of true objects keyed by (subject, relation, time).
 
-    def __init__(self, facts: Iterable[QuadrupleSet]):
-        self._runs = _ObjectRuns()
-        self._runs.add(_fact_rows(facts))
+    ``facts`` are :class:`QuadrupleSet` objects or ``(s, r, o, t)``
+    column tuples; they are kept as views, not copied (see "Storage
+    model" above), so the caller must not write to them afterwards.
+    With ``inverse_relations`` set, every fact ``(s, r, o, t)`` also
+    files its inverse ``(o, r + inverse_relations, s, t)``, for facts
+    given without their inverses.
+    """
+
+    def __init__(self, facts: Iterable[FactSource],
+                 inverse_relations: Optional[int] = None):
+        self._blocks = _FactBlocks(facts, inverse_relations)
         self._mask_memo = _MaskMemo()
 
     def true_objects(self, s: int, r: int, t: int) -> FrozenSet[int]:
         """All objects o such that (s, r, o, t) is a known fact."""
-        return self._runs.true_objects(int(t), int(s), int(r))
+        return self._blocks.true_objects(int(t), int(s), int(r))
 
     def mask_indices_for_batch(self, subjects: Sequence[int],
                                relations: Sequence[int], time: int,
@@ -275,22 +349,24 @@ class TimeAwareFilter:
         ``scores[rows, cols] = -inf`` then applies the time-aware filter
         to the whole ``(Q, |E|)`` score matrix without per-query copies.
 
-        The packed arrays are built once per distinct batch and memoized
+        The first call at a timestamp builds that timestamp's block.  The
+        packed arrays are built once per distinct batch and memoized
         (they depend on the queries and the indexed facts, never on
         scores); callers must treat them as read-only.
         """
-        return self._mask_memo.get(self._runs, int(time), subjects,
+        return self._mask_memo.get(self._blocks, int(time), subjects,
                                    relations, targets)
 
     def add_facts(self, facts) -> None:
         """Incrementally index newly revealed facts.
 
-        Serving engines ingest snapshots one at a time; this keeps the
-        filter in sync without rebuilding the whole index.  Accepts a
-        :class:`QuadrupleSet` or a plain ``(k, 4)`` array.
+        Serving engines ingest snapshots one at a time; this files the
+        new rows under their timestamps in O(k) and drops only those
+        timestamps' blocks.  Accepts a :class:`QuadrupleSet` or a plain
+        ``(k, 4)`` array.  Ids that do not fit int32 raise here.
         """
-        self._runs.add(facts.array if isinstance(facts, QuadrupleSet)
-                       else facts)
+        self._blocks.add(facts.array if isinstance(facts, QuadrupleSet)
+                         else facts)
         self._mask_memo.clear()
 
 
@@ -300,19 +376,18 @@ class StaticFilter:
     Provided for comparison with older evaluation protocols; the paper
     argues this setting is unsuitable for extrapolation (it filters out
     facts that legitimately recur at the query time).  Stored like the
-    time-aware filter with every fact filed under time 0.
+    time-aware filter with every fact filed under one block, built on
+    first use.  ``facts`` and ``inverse_relations`` are as for
+    :class:`TimeAwareFilter`.
     """
 
-    def __init__(self, facts: Iterable[QuadrupleSet]):
-        rows = _fact_rows(facts)
-        self._runs = _ObjectRuns()
-        self._runs.add(np.concatenate(
-            (rows[:, :3], np.zeros((len(rows), 1), dtype=rows.dtype)),
-            axis=1))
+    def __init__(self, facts: Iterable[FactSource],
+                 inverse_relations: Optional[int] = None):
+        self._blocks = _FactBlocks(facts, inverse_relations, by_time=False)
         self._mask_memo = _MaskMemo()
 
     def true_objects(self, s: int, r: int) -> FrozenSet[int]:
-        return self._runs.true_objects(0, int(s), int(r))
+        return self._blocks.true_objects(0, int(s), int(r))
 
     def mask_indices_for_batch(self, subjects: Sequence[int],
                                relations: Sequence[int], time: int,
@@ -327,5 +402,5 @@ class StaticFilter:
         distinct batch and memoized; callers must treat the returned
         arrays as read-only.
         """
-        return self._mask_memo.get(self._runs, 0, subjects, relations,
+        return self._mask_memo.get(self._blocks, 0, subjects, relations,
                                    targets)

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..eval.metrics import RankingAccumulator
-from ..eval.protocol import batch_scores, reuse_context_enabled
+from ..eval.protocol import (_build_filters, batch_scores,
+                             reuse_context_enabled)
 from ..eval.ranking import batch_ranks_vectorized
 from ..interface import ExtrapolationModel
 from ..nn import Adam, clip_grad_norm
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..tkg.dataset import TKGDataset
-from ..tkg.filtering import TimeAwareFilter
 from .context import PHASES, HistoryContext, iter_timestep_batches
 
 
@@ -56,9 +56,7 @@ def evaluate_online(model: ExtrapolationModel, dataset: TKGDataset,
         context = HistoryContext(dataset, window=config.window,
                                  telemetry=telemetry)
         context.reset()
-        augmented = [quads.with_inverses(dataset.num_relations)
-                     for quads in dataset.splits().values()]
-        time_filter = TimeAwareFilter(augmented)
+        time_filter, _ = _build_filters(dataset, "time-aware")
     optimizer = Adam(model.parameters(), lr=config.lr)
     accumulator = RankingAccumulator()
     was_training = bool(getattr(model, "training", False))

@@ -18,7 +18,8 @@ import pytest
 
 from repro.interface import ScoreFactors
 from repro.nn import no_grad, ops
-from repro.nn.ops import (MIN_TILE_ROWS, TILE_BYTES, _scatter_add_rows,
+from repro.nn.ops import (MIN_TILE_ROWS, TILE_BYTES, _convtranse_features,
+                          _scatter_add_rows, convtranse_features,
                           degree_norm, fused_relational_pass, segment_counts,
                           tile_bounds)
 from repro.nn.tensor import Tensor
@@ -105,6 +106,69 @@ class TestRowBlockedProducts:
         for start, stop in zip(bounds[:-1], bounds[1:]):
             tile = composed[start:stop] @ weight
             assert np.array_equal(_bits(tile), _bits(whole[start:stop]))
+
+
+class TestRowBlockedConvTransE:
+    """Eq. 18's inference features run in row blocks, each query row
+    once, and equal the whole batch's bitwise."""
+
+    CHANNELS, WIDTH = 50, 3
+
+    def _params(self, rng, dim):
+        k, kw = self.CHANNELS, self.WIDTH
+        return (Tensor(_float32(rng, (k, 2, kw))), Tensor(_float32(rng, (k,))),
+                Tensor(_float32(rng, (k * dim, dim))),
+                Tensor(_float32(rng, (dim,))))
+
+    @pytest.mark.parametrize("num_q", [1, 65, 163, 164, 401, 432])
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_blocks_equal_the_whole_batch(self, num_q, indexed):
+        dim = 32
+        rng = np.random.default_rng(num_q)
+        params = self._params(rng, dim)
+        if indexed:
+            entities = Tensor(_float32(rng, (700, dim)))
+            relations = Tensor(_float32(rng, (20, dim)))
+            s_idx = rng.integers(0, 700, size=num_q)
+            r_idx = rng.integers(0, 20, size=num_q)
+        else:
+            entities = Tensor(_float32(rng, (num_q, dim)))
+            relations = Tensor(_float32(rng, (num_q, dim)))
+            s_idx = r_idx = None
+        bounds = tile_bounds(num_q, self.CHANNELS * dim * 4)
+        if num_q == 401:                 # ragged: 133, 134 and 134 rows
+            assert sorted(set(np.diff(bounds))) == [133, 134]
+        assert (len(bounds) > 2) == (num_q > 163)
+        whole = _convtranse_features(
+            entities.data, relations.data, s_idx, r_idx,
+            *(p.data for p in params), 0.0, None)[0]
+        got = convtranse_features(entities, relations, *params,
+                                  subject_index=s_idx, relation_index=r_idx)
+        assert got.shape == whole.shape and got.dtype == whole.dtype
+        assert np.array_equal(_bits(got), _bits(whole))
+
+    def test_peak_stays_within_the_tile_budget(self):
+        dim, num_q = 32, 4096
+        rng = np.random.default_rng(7)
+        params = self._params(rng, dim)
+        entities = Tensor(_float32(rng, (700, dim)))
+        relations = Tensor(_float32(rng, (20, dim)))
+        s_idx = rng.integers(0, 700, size=num_q)
+        r_idx = rng.integers(0, 20, size=num_q)
+        convtranse_features(entities, relations, *params,
+                            subject_index=s_idx, relation_index=r_idx)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            convtranse_features(entities, relations, *params,
+                                subject_index=s_idx, relation_index=r_idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        feature_map = num_q * self.CHANNELS * dim * 4      # 26 MB whole
+        # A block's conv output and feature map, plus the (Q, d) output.
+        assert peak < 3 * TILE_BYTES + 2 * num_q * dim * 4
+        assert peak < feature_map / 4
 
 
 class TestTiledScatter:

@@ -381,6 +381,46 @@ class TestHorizonViewOverMappedStore:
         assert len(mapped.global_edges(anchor, subjects, relations)[0])
 
 
+class TestHorizonViewAgainstTargetTimePredict:
+    """A non-context model's horizon forecast reads history through
+    ``_HorizonView``, anchored at the ingested horizon; with no facts
+    between anchor and target it must equal a serial engine's plain
+    ``predict`` at the target time."""
+
+    @pytest.mark.parametrize("name", ["regcn", "cygnet"])
+    def test_forecast_equals_the_serial_predict(self, dataset, name):
+        from repro.registry import build_model
+        from repro.serving.engine import filtered_topk_rows
+        model = build_model(name, dataset, dim=16, seed=0)
+        assert not hasattr(model, "precompute_context")
+        engines = [InferenceEngine(model, dataset.num_entities,
+                                   dataset.num_relations, window=3)
+                   for _ in range(2)]
+        for engine in engines:
+            engine.preload(dataset)
+        forecaster, serial = engines
+        queries = dataset.test.array[:10, :2]
+        subjects, relations = queries[:, 0].copy(), queries[:, 1].copy()
+        anchor = forecaster.next_time
+        horizon = 4
+        target = anchor + horizon - 1
+        want = serial.predict(subjects, relations, time=target)
+        got = forecaster.predict_horizon(subjects, relations, steps=horizon)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        response = protocol.handle_request(forecaster, {
+            "op": "forecast", "queries": queries.tolist(),
+            "horizon": horizon, "topk": 4})
+        assert response["ok"] and response["time"] == target
+        rows = filtered_topk_rows(want, subjects, relations, target, 4)
+        assert [[(c["entity"], c["prob"]) for c in row]
+                for row in response["results"]] \
+            == [[(e, round(float(p), 6)) for e, p in row] for row in rows]
+        # The forecast left the index at the anchor: a predict there
+        # still runs.
+        forecaster.predict(subjects, relations, time=anchor)
+
+
 class TestCalibrationPersistence:
     def test_window_survives_snapshot_restart(self, dataset, tmp_path):
         engine = _preload(_engine(dataset), dataset)
