@@ -28,8 +28,8 @@ import numpy as np
 
 from _harness import (BENCH_WINDOW, RESULTS_DIR, emit, get_trained_model,
                       logcl_overrides, write_result_table)
-from repro.serving import DaemonConfig, InferenceEngine, protocol, \
-    serve_in_thread
+from repro.serving import (DaemonConfig, InferenceEngine, ServingDaemon,
+                           protocol, serve_in_thread)
 
 DATASET = "icews14_like"
 NUM_CLIENTS = 8
@@ -171,8 +171,8 @@ def _load_phase(handle, serial, dataset, t):
 
 def _overload_phase(engine, dataset, t):
     """Saturating burst against a tiny admission queue; count sheds."""
-    handle = serve_in_thread(engine, DaemonConfig(
-        max_queue=4, batch_max_pending=4, batch_window_ms=0.5))
+    handle = serve_in_thread(ServingDaemon(engine, DaemonConfig(
+        max_queue=4, batch_max_pending=4, batch_window_ms=0.5)))
     try:
         sock = socket.create_connection(handle.address, timeout=60)
         reader = sock.makefile("r", encoding="utf-8")
@@ -211,13 +211,13 @@ def test_serving_daemon(benchmark):
     serial = _build_engine(model, dataset)
     t = serial.next_time
 
-    handle = serve_in_thread(served_engine, DaemonConfig(
-        max_queue=64, batch_max_pending=8, batch_window_ms=2.0))
+    handle = serve_in_thread(ServingDaemon(served_engine, DaemonConfig(
+        max_queue=64, batch_max_pending=8, batch_window_ms=2.0)))
     try:
         record, parity_checked = benchmark.pedantic(
             _load_phase, args=(handle, serial, dataset, t),
             rounds=1, iterations=1)
-        daemon_counters = dict(handle.daemon.stats.counters)
+        daemon_counters = dict(handle.server.stats.counters)
     finally:
         handle.stop()
     record["dataset"] = DATASET

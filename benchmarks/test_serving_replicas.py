@@ -29,9 +29,9 @@ import numpy as np
 from _harness import (BENCH_WINDOW, RESULTS_DIR, emit, get_trained_model,
                       logcl_overrides, write_result_table)
 from repro.data import write_store_facts
-from repro.serving import (InferenceEngine, RouterConfig,
+from repro.serving import (InferenceEngine, ReplicaSetRouter, RouterConfig,
                            fork_replicas_available, protocol,
-                           route_in_thread)
+                           serve_in_thread)
 from test_serving_daemon import _OpenLoopClient, _request_mix
 
 DATASET = "icews14_like"
@@ -86,7 +86,8 @@ def _sharing_proof(router, store_path):
 def _measure(replicas, model, dataset, store_path, serial, t):
     """One sweep point: load a fresh router, parity-check every response."""
     engine = _store_engine(model, dataset, store_path)
-    handle = route_in_thread(engine, RouterConfig(replicas=replicas))
+    handle = serve_in_thread(ReplicaSetRouter(
+        engine, RouterConfig(replicas=replicas)))
     try:
         clients = [
             _OpenLoopClient(handle.address,
@@ -120,7 +121,7 @@ def _measure(replicas, model, dataset, store_path, serial, t):
                 parity_checked += 1
                 latencies.append(client.latencies_ms[request["id"]])
 
-        sharing = _sharing_proof(handle.router, store_path)
+        sharing = _sharing_proof(handle.server, store_path)
     finally:
         handle.stop()
 

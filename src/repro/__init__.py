@@ -23,7 +23,7 @@ Package map
 ``repro.baselines``  10 re-implemented comparison systems
 ``repro.eval``       MRR/Hits@k with time-aware filtering
 ``repro.training``   offline trainer, online protocol, checkpoints
-``repro.serving``    incremental online inference engine + micro-batcher
+``repro.serving``    incremental online inference engine, daemon and router
 ``repro.obs``        process-wide telemetry: counters, spans, JSONL traces
 ``repro.robustness`` Gaussian-noise sweeps
 """
@@ -32,7 +32,7 @@ from .core import LogCL, LogCLConfig
 from .interface import ExtrapolationModel
 from .training import (HistoryContext, OnlineConfig, TrainConfig, Trainer,
                        TrainResult, evaluate_online)
-from .serving import InferenceEngine, MicroBatcher, ServingStats
+from .serving import InferenceEngine
 from .eval import evaluate, format_metric_row
 from .obs import Telemetry, get_telemetry
 
@@ -42,7 +42,7 @@ __all__ = [
     "LogCL", "LogCLConfig", "ExtrapolationModel",
     "Trainer", "TrainConfig", "TrainResult", "HistoryContext",
     "OnlineConfig", "evaluate_online",
-    "InferenceEngine", "MicroBatcher", "ServingStats",
+    "InferenceEngine",
     "evaluate", "format_metric_row",
     "Telemetry", "get_telemetry",
     "__version__",

@@ -172,7 +172,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     With ``--listen host:port`` the loop is replaced by the persistent
     socket daemon (:mod:`repro.serving.daemon`): many concurrent TCP
     clients, the same JSONL schema, admission control past
-    ``--max-queue``, windowed cross-client micro-batching
+    ``--max-queue``, windowed cross-client request coalescing
     (``--batch-window-ms`` / ``--batch-pending``), and — with
     ``--snapshot`` — graceful-shutdown snapshotting restored on the
     next start (delta-replay for store-file-backed engines).
@@ -218,21 +218,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     replicas = getattr(args, "replicas", 1)
     if args.listen is not None:
         host, _, port = args.listen.rpartition(":")
+        from .serving.server import run_server
+
         if replicas > 1:
-            from .serving.router import RouterConfig, run_router
+            from .serving.router import ReplicaSetRouter, RouterConfig
 
-            return run_router(engine, RouterConfig(
+            return run_server(ReplicaSetRouter(engine, RouterConfig(
                 host=host or "127.0.0.1", port=int(port),
-                replicas=replicas))
-        from .serving.daemon import DaemonConfig, run_daemon
+                replicas=replicas)))
+        from .serving.daemon import DaemonConfig, ServingDaemon
 
-        return run_daemon(engine, DaemonConfig(
+        return run_server(ServingDaemon(engine, DaemonConfig(
             host=host or "127.0.0.1", port=int(port),
             max_queue=args.max_queue,
             batch_max_pending=args.batch_pending,
             batch_window_ms=args.batch_window_ms,
-            snapshot_path=args.snapshot,
-            fuse_queries=args.fuse_queries))
+            snapshot_path=args.snapshot)))
     if replicas > 1:
         raise SystemExit("--replicas needs --listen: the stdin loop is "
                          "single-engine by construction")
@@ -389,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="daemon admission-control depth; requests "
                               "past this are shed as overloaded")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="daemon micro-batch coalescing window")
+                         help="daemon request-coalescing window")
     p_serve.add_argument("--batch-pending", type=int, default=16,
-                         help="daemon micro-batch size trigger (queries)")
+                         help="daemon request-coalescing size trigger "
+                              "(queries)")
     p_serve.add_argument("--replicas", type=int, default=1, metavar="N",
                          help="with --listen: serve through the replica-set "
                               "router (N worker engines over one shared "
@@ -403,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--snapshot", default=None, metavar="PATH",
                          help="engine-state snapshot written on graceful "
                               "daemon shutdown and restored on start")
-    p_serve.add_argument("--fuse-queries", action="store_true",
-                         help="fuse concurrent single-query predicts into "
-                              "one forward (batch-insensitive models only)")
     p_serve.add_argument("--calibrate", action="store_true",
                          help="calibrate the score op on the in-stream "
                               "reference window (enables anomaly flags "

@@ -67,7 +67,7 @@ def softmax_topk(scores: np.ndarray, k: int) -> List[Tuple[int, float]]:
     The softmax is max-shifted over the finite entries; ``-inf`` scores
     (filtered-out candidates) get probability zero.  Ties rank lower
     entity ids first (stable sort), so repeated calls and the several
-    top-k front-ends (model, engine, micro-batcher) agree exactly.
+    top-k front-ends (model, engine, serving protocol) agree exactly.
     """
     scores = np.asarray(scores)
     finite = np.isfinite(scores)

@@ -3,10 +3,10 @@
 The observability layer every subsystem reports through: the trainer
 (per-epoch loss/grad/eval spans), the evaluation protocol (context-build
 vs forward vs ranking), the online-learning pass and the serving engine
-(whose :class:`repro.serving.ServingStats` is a thin façade over
-:class:`Telemetry`).  :mod:`repro.obs.drift` builds production model
-monitoring on top: score-distribution shift and per-pattern hit-rate
-decay as standing scalar series.  See ``docs/observability.md``.
+(``InferenceEngine.stats`` is a :class:`Telemetry` named ``serving``).
+:mod:`repro.obs.drift` builds production model monitoring on top:
+score-distribution shift and per-pattern hit-rate decay as standing
+scalar series.  See ``docs/observability.md``.
 """
 
 from .drift import DriftMonitor, ks_statistic

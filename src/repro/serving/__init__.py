@@ -2,13 +2,13 @@
 
 The inference half of the training/inference stack: load a trained
 checkpoint, stream snapshots in with :meth:`InferenceEngine.advance`,
-answer ``(s, r, t, ?)`` queries with :meth:`InferenceEngine.predict`
-(or coalesced through :class:`MicroBatcher`), observe latency and cache
-behaviour through :class:`ServingStats`.  For a long-lived service
-surface, :mod:`repro.serving.daemon` runs the engine behind an asyncio
-JSONL-over-TCP server with admission control, windowed cross-client
-micro-batching and snapshot/restore; the request schema lives in
-:mod:`repro.serving.protocol`.
+answer ``(s, r, t, ?)`` queries with :meth:`InferenceEngine.predict`,
+observe latency and cache behaviour through the engine's
+:class:`repro.obs.Telemetry` registry (``engine.stats``).  For a
+long-lived service surface, :mod:`repro.serving.daemon` runs the engine
+behind an asyncio JSONL-over-TCP server with admission control,
+windowed request coalescing and snapshot/restore; the request schema
+lives in :mod:`repro.serving.protocol`.
 
 For read scaling, the engine is a read/write split
 (:class:`ReadState` / :class:`DeltaState`): :mod:`repro.serving.replica`
@@ -16,7 +16,9 @@ spawns N worker processes over one shared read state (one physical copy
 of the mmap-backed store file) and :mod:`repro.serving.router` fronts
 them — round-robin reads, all-ack ``advance`` fan-out, watermark
 consistency handshake, and an HTTP ``/healthz`` / ``/readyz`` /
-``/stats`` surface.  See ``docs/serving.md``.
+``/stats`` surface.  Both servers share one lifecycle
+(:mod:`repro.serving.server`): build one, then run it with
+:func:`serve_in_thread` or :func:`run_server`.  See ``docs/serving.md``.
 
 On top of prediction, :mod:`repro.serving.ops` adds the fact-level
 serving ops: calibrated ``score`` (likelihood + anomaly flag against an
@@ -27,9 +29,7 @@ telemetry from :class:`repro.obs.DriftMonitor`.  See ``docs/ops.md``.
 """
 
 from . import protocol
-from .batcher import MicroBatcher, PendingBatch, PendingQuery
-from .daemon import (DaemonConfig, DaemonHandle, EngineExecutor,
-                     ServingDaemon, run_daemon, serve_in_thread)
+from .daemon import DaemonConfig, EngineExecutor, ServingDaemon
 from .engine import (DeltaState, InferenceEngine, ReadState, ServingBatch,
                      filtered_topk_rows)
 from .ops import (CalibrationConfig, CalibrationState, FactScores,
@@ -37,23 +37,19 @@ from .ops import (CalibrationConfig, CalibrationState, FactScores,
                   score_facts, score_response, softmax_rows)
 from .replica import (ForkedReplica, LocalReplica, ReplicaWorker,
                       fork_replicas_available, start_replica_set)
-from .router import (ReplicaSetRouter, RouterConfig, RouterHandle,
-                     route_in_thread, run_router)
-from .stats import ServingStats, StageStats
+from .router import ReplicaSetRouter, RouterConfig
+from .server import JSONLServer, ServerHandle, run_server, serve_in_thread
 
 __all__ = [
     "InferenceEngine", "ReadState", "DeltaState", "ServingBatch",
     "filtered_topk_rows",
-    "MicroBatcher", "PendingQuery", "PendingBatch",
-    "ServingStats", "StageStats",
     "CalibrationConfig", "CalibrationState", "ScoreCalibrator",
     "FactScores", "score_facts", "score_response", "forecast_response",
     "anomaly_auc", "softmax_rows",
-    "ServingDaemon", "DaemonConfig", "DaemonHandle", "EngineExecutor",
-    "serve_in_thread", "run_daemon",
+    "JSONLServer", "ServerHandle", "serve_in_thread", "run_server",
+    "ServingDaemon", "DaemonConfig", "EngineExecutor",
     "ReplicaWorker", "LocalReplica", "ForkedReplica",
     "fork_replicas_available", "start_replica_set",
-    "ReplicaSetRouter", "RouterConfig", "RouterHandle",
-    "route_in_thread", "run_router",
+    "ReplicaSetRouter", "RouterConfig",
     "protocol",
 ]

@@ -3,7 +3,9 @@
 ``repro.cli serve`` was a one-client JSONL stdin loop; this module is
 the long-lived service surface: an asyncio TCP server speaking
 newline-delimited JSON (the exact request schema of
-:mod:`repro.serving.protocol`) to many concurrent clients, with
+:mod:`repro.serving.protocol`) to many concurrent clients.  The
+lifecycle (bind, stop, line framing, writes) is the shared
+:class:`repro.serving.server.JSONLServer`; the daemon adds
 
 * **one serialized engine** — every engine touch happens on a single
   worker thread owned by :class:`EngineExecutor`; the asyncio front-end
@@ -15,21 +17,17 @@ newline-delimited JSON (the exact request schema of
   ``max_queue`` depth new requests are *shed immediately* with
   ``{"ok": false, "error": "overloaded", "shed": true}`` instead of
   queueing unboundedly or hanging the client;
-* **windowed cross-client micro-batching** — pending ``predict``
-  requests are coalesced into one executor trip per flush group
-  (:class:`repro.serving.batcher.MicroBatcher` grown into a time/size
-  window: flush on ``batch_max_pending`` pending queries OR
-  ``batch_window_ms`` age of the oldest, whichever first).  Each
-  client's request batch stays **its own forward** by default — batch
-  composition is model semantics for LogCL (the query-aware attention
-  pools relation context over the batch), so fusing different clients'
-  queries into one forward would change their scores.  For
-  batch-composition-insensitive models (per-row decoders like
-  DistMult), ``fuse_queries=True`` additionally merges single-query
-  requests at one timestamp into one fused forward.  ``score``
-  requests coalesce under the same window into homogeneous score
-  groups — each fact batch keeps its own forward, but the whole group
-  rides one executor trip;
+* **windowed coalescing** — pending ``predict`` (or ``score``)
+  requests are gathered into one group until ``batch_max_pending``
+  queries are pending or ``batch_window_ms`` has passed since the
+  first, whichever comes first, and the whole group rides one executor
+  trip.  Inside the trip every request is answered by
+  :func:`repro.serving.protocol.handle_request` on its own, in arrival
+  order: a client's request batch stays its own forward (batch
+  composition is model semantics for LogCL, whose query-aware
+  attention pools relation context over the batch) and the engine sees
+  exactly the serial request trace, so its monotonic time contract
+  refuses the same requests it would refuse serially;
 * **graceful shutdown + delta restart** — :meth:`ServingDaemon.stop`
   drains the queue, then snapshots the engine through
   :func:`repro.training.save_engine_state`; a daemon started with the
@@ -38,29 +36,33 @@ newline-delimited JSON (the exact request schema of
   the file was adopted (the snapshot stores the backing path plus the
   delta, never a copy of the mapped facts);
 * **observability** — per-op latency spans (``daemon/<op>``), a
-  ``queue_depth`` scalar series, shed/flush/connection counters, all in
-  the engine's shared :class:`repro.serving.stats.ServingStats`
-  registry, so ``{"op": "stats"}`` surfaces daemon health in the same
-  schema the benchmarks ingest.
+  ``queue_depth`` scalar series, shed/group/connection counters, all in
+  the engine's own :class:`repro.obs.Telemetry` registry, so
+  ``{"op": "stats"}`` surfaces daemon health in the same schema the
+  benchmarks ingest.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from . import protocol
-from .batcher import MicroBatcher
 from .engine import InferenceEngine
+from .server import JSONLServer
 
 # Sentinel queued to tell the consumer loop to exit after draining.
 _STOP = object()
+
+# Ops the consumer coalesces into windowed groups.  Groups are
+# homogeneous — a score never joins a predict group — and ordering
+# across op kinds is preserved, so the serialized engine still sees the
+# arrival-order request trace.
+_BATCHED_OPS = ("predict", "score")
 
 
 @dataclass
@@ -71,12 +73,10 @@ class DaemonConfig:
     :attr:`ServingDaemon.address` once started).  ``max_queue`` is the
     admission-control depth: requests arriving while that many are
     queued are shed, not enqueued.  ``batch_max_pending`` /
-    ``batch_window_ms`` are the micro-batch coalescing triggers (flush
-    on size or age, whichever first).  ``snapshot_path`` enables the
+    ``batch_window_ms`` are the coalescing triggers (close the group on
+    size or age, whichever first).  ``snapshot_path`` enables the
     restart story: restored on start when the file exists, written on
-    graceful stop.  ``fuse_queries`` merges concurrent single-query
-    requests into one fused forward per timestamp — only bitwise-safe
-    for models whose per-row scores ignore batch composition.
+    graceful stop.
     """
 
     host: str = "127.0.0.1"
@@ -85,7 +85,6 @@ class DaemonConfig:
     batch_max_pending: int = 16
     batch_window_ms: float = 2.0
     snapshot_path: Optional[str] = None
-    fuse_queries: bool = False
 
 
 class EngineExecutor:
@@ -93,37 +92,23 @@ class EngineExecutor:
 
     The engine (its history index, caches and filter) is not
     thread-safe and its time contract is monotonic, so the daemon runs
-    *all* engine work — ingestion, forwards, snapshotting, even
-    ``next_time`` reads — as jobs on this executor's single thread.
-    The engine reference is private on purpose: code outside
-    :mod:`repro.serving.daemon` must never reach ``_engine`` (enforced
-    by the ``lint-private`` Makefile target); it passes a callable to
-    :meth:`run` / :meth:`run_sync` and receives the engine only inside
-    the serialized job.
+    *all* engine work — ingestion, forwards, snapshotting — as jobs on
+    this executor's single thread.  The engine reference is private on
+    purpose: code outside :mod:`repro.serving.daemon` must never reach
+    ``_engine`` (enforced by the ``lint-private`` Makefile target); it
+    passes a callable to :meth:`run` and receives the engine only
+    inside the serialized job.
     """
 
     def __init__(self, engine: InferenceEngine):
         self._engine = engine
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="engine")
-        self._thread_id: Optional[int] = None
-
-    def _call(self, fn: Callable[[InferenceEngine], Any]) -> Any:
-        self._thread_id = threading.get_ident()
-        return fn(self._engine)
 
     async def run(self, fn: Callable[[InferenceEngine], Any]) -> Any:
         """Await ``fn(engine)`` executed on the serialized worker thread."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, self._call, fn)
-
-    def run_sync(self, fn: Callable[[InferenceEngine], Any]) -> Any:
-        """Blocking :meth:`run` for callers outside the event loop."""
-        return self._pool.submit(self._call, fn).result()
-
-    def owns_current_thread(self) -> bool:
-        """Whether the calling thread is the executor's worker thread."""
-        return threading.get_ident() == self._thread_id
+        return await loop.run_in_executor(self._pool, fn, self._engine)
 
     def shutdown(self) -> None:
         """Stop the worker thread after all submitted jobs finish."""
@@ -142,41 +127,42 @@ class _Job:
         self.enqueued_s = _time.monotonic()
 
 
-class ServingDaemon:
+class ServingDaemon(JSONLServer):
     """Asyncio JSONL-over-TCP server around one serialized engine.
 
-    Lifecycle: :meth:`start` binds the socket (restoring a snapshot
-    when configured and present), :meth:`stop` drains and snapshots,
-    :meth:`wait_stopped` parks until a stop completes.  For synchronous
-    callers (tests, benchmarks, notebooks) :func:`serve_in_thread`
-    runs the whole lifecycle on a background thread.
+    Lifecycle (see :class:`repro.serving.server.JSONLServer`):
+    :meth:`start` binds the socket and restores a snapshot when
+    configured and present, :meth:`stop` drains and snapshots.  Run it
+    on a background thread with
+    :func:`repro.serving.server.serve_in_thread`.  Requests on one
+    connection are pipelined: each is admitted as it is read and
+    answered when its job completes.
     """
+
+    connection_counter = "daemon_connections"
 
     def __init__(self, engine: InferenceEngine,
                  config: Optional[DaemonConfig] = None):
         self.config = config or DaemonConfig()
+        super().__init__(self.config.host, self.config.port)
         self.stats = engine.stats
         self._exec = EngineExecutor(engine)
-        self._batcher = MicroBatcher(
-            engine, max_pending=self.config.batch_max_pending,
-            max_wait_ms=self.config.batch_window_ms)
         self._queue: Optional[asyncio.Queue] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._consumer: Optional[asyncio.Task] = None
-        self._writers: set = set()
-        self._stopping = False
-        self._stopped: Optional[asyncio.Event] = None
-        self.address: Optional[Tuple[str, int]] = None
         self.restored_snapshot = False
 
-    # -- lifecycle ------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind the socket and start serving; returns ``(host, port)``.
+    # -- lifecycle hooks ------------------------------------------------
+    def listen_info(self) -> Dict[str, Any]:
+        """Snapshot restore flag and admission/coalescing settings."""
+        return {"restored_snapshot": self.restored_snapshot,
+                "max_queue": self.config.max_queue,
+                "batch_window_ms": self.config.batch_window_ms}
 
-        When ``config.snapshot_path`` names an existing file the engine
-        state (weights + replayable history) is restored from it before
-        the first client can connect — the restart half of the graceful
-        shutdown round-trip.
+    async def _on_start(self) -> None:
+        """Restore the snapshot (when present) and start the consumer.
+
+        Restoring before the first client connects is the restart half
+        of the graceful shutdown round-trip.
         """
         path = self.config.snapshot_path
         if path is not None and os.path.exists(
@@ -186,91 +172,34 @@ class ServingDaemon:
                 lambda engine: load_engine_state(engine, path))
             self.restored_snapshot = True
         self._queue = asyncio.Queue()
-        self._stopped = asyncio.Event()
         self._consumer = asyncio.create_task(self._consume())
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        sock = self._server.sockets[0].getsockname()
-        self.address = (sock[0], sock[1])
-        return self.address
 
-    async def stop(self) -> None:
-        """Graceful shutdown: drain, snapshot, release the port.
-
-        Already-admitted requests are answered; the consumer then
-        exits, the remaining micro-batch (if any) is flushed so no
-        ticket is dropped, and — when ``config.snapshot_path`` is set —
-        the engine state is written through ``save_engine_state`` for
-        the next :meth:`start` to restore.
-        """
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _on_stop(self) -> None:
+        """Answer every admitted request, then write the snapshot."""
         await self._queue.put(_STOP)
-        if self._consumer is not None:
-            await self._consumer
-        # Anything still pending in the batcher (there should be nothing:
-        # the consumer flushes every group it builds) resolves now.
-        await self._exec.run(lambda engine: self._batcher.flush())
+        await self._consumer
         if self.config.snapshot_path is not None:
             from ..training import save_engine_state
             snapshot_path = self.config.snapshot_path
             await self._exec.run(
                 lambda engine: save_engine_state(engine, snapshot_path))
-        for writer in list(self._writers):
-            writer.close()
+
+    async def _on_stopped(self) -> None:
         self._exec.shutdown()
-        self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        """Park until :meth:`stop` has completed."""
-        await self._stopped.wait()
-
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until something calls stop()."""
-        if self._server is None:
-            await self.start()
-        await self.wait_stopped()
 
     # -- connection handling --------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        """Per-client loop: read JSONL lines, answer each in a task."""
-        self.stats.incr("daemon_connections")
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter,
+                                write_lock: asyncio.Lock) -> None:
+        """Pipeline the connection: answer each request in its own task."""
         tasks: set = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                try:
-                    request = protocol.decode_line(text)
-                except protocol.RequestError as exc:
-                    await self._write(writer, write_lock,
-                                      protocol.error_response(exc))
-                    continue
-                if request.get("op") == "quit":
-                    break
-                task = asyncio.create_task(
-                    self._answer(request, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
+        async for request in self._requests(reader, writer, write_lock):
+            task = asyncio.create_task(
+                self._answer(request, writer, write_lock))
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _answer(self, request: Dict[str, Any],
                       writer: asyncio.StreamWriter,
@@ -290,25 +219,7 @@ class ServingDaemon:
             response = await future
         await self._write(writer, write_lock, response)
 
-    async def _write(self, writer: asyncio.StreamWriter,
-                     write_lock: asyncio.Lock,
-                     response: Dict[str, Any]) -> None:
-        async with write_lock:
-            if writer.is_closing():
-                return
-            writer.write((json.dumps(response) + "\n").encode("utf-8"))
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     # -- consumer -------------------------------------------------------
-    # Ops the consumer coalesces into windowed groups.  Groups are
-    # homogeneous — a score never joins a predict group — and ordering
-    # across op kinds is preserved, so the serialized engine still sees
-    # the arrival-order request trace.
-    _BATCHED_OPS = ("predict", "score")
-
     async def _consume(self) -> None:
         """Drain the admitted-request queue in arrival order.
 
@@ -317,9 +228,10 @@ class ServingDaemon:
         are pending or the window (``batch_window_ms`` from the first
         job) closes or a different op arrives (ordering across op kinds
         is preserved — an ``advance`` never overtakes or gets overtaken
-        by the reads around it).  Each group is served in one executor
-        trip; every other op runs as its own serialized job.
+        by the reads around it).  Each group — and every other op, as a
+        group of one — is served in one executor trip.
         """
+        loop = asyncio.get_running_loop()
         window_s = max(self.config.batch_window_ms, 0.0) / 1000.0
         stash: Optional[object] = None
         while True:
@@ -334,34 +246,27 @@ class ServingDaemon:
                 self.stats.observe("queue_depth", self._queue.qsize())
             if job is _STOP:
                 break
-            group_op = job.request.get("op")
-            if group_op not in self._BATCHED_OPS:
-                await self._run_single(job)
-                continue
             group = [job]
-            pending_queries = self._query_count(job.request)
-            deadline = asyncio.get_running_loop().time() + window_s
-            while pending_queries < self.config.batch_max_pending:
-                timeout = deadline - asyncio.get_running_loop().time()
-                if timeout <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
-                self.stats.observe("queue_depth", self._queue.qsize())
-                if nxt is _STOP or nxt.request.get("op") != group_op:
-                    stash = nxt
-                    break
-                group.append(nxt)
-                pending_queries += self._query_count(nxt.request)
-            if group_op == "predict":
-                responses = await self._exec.run(
-                    lambda engine: self._serve_predict_group(engine, group))
-            else:
-                responses = await self._exec.run(
-                    lambda engine: self._serve_score_group(engine, group))
-            self._resolve(group, responses)
+            group_op = job.request.get("op")
+            if group_op in _BATCHED_OPS:
+                pending_queries = self._query_count(job.request)
+                deadline = loop.time() + window_s
+                while pending_queries < self.config.batch_max_pending:
+                    timeout = deadline - loop.time()
+                    if timeout <= 0:
+                        break
+                    try:
+                        nxt = await asyncio.wait_for(self._queue.get(),
+                                                     timeout)
+                    except asyncio.TimeoutError:
+                        break
+                    self.stats.observe("queue_depth", self._queue.qsize())
+                    if nxt is _STOP or nxt.request.get("op") != group_op:
+                        stash = nxt
+                        break
+                    group.append(nxt)
+                    pending_queries += self._query_count(nxt.request)
+            await self._run_group(group)
             if stash is _STOP:
                 break
         # Orphaned jobs admitted after the STOP sentinel (racing stop())
@@ -369,9 +274,8 @@ class ServingDaemon:
         while not self._queue.empty():
             job = self._queue.get_nowait()
             self.stats.observe("queue_depth", self._queue.qsize())
-            if job is _STOP:
-                continue
-            await self._run_single(job)
+            if job is not _STOP:
+                await self._run_group([job])
 
     @staticmethod
     def _query_count(request: Dict[str, Any]) -> int:
@@ -381,93 +285,30 @@ class ServingDaemon:
             queries = request.get("facts")
         return len(queries) if isinstance(queries, list) else 1
 
-    async def _run_single(self, job: _Job) -> None:
-        """Serve one non-batched job as its own serialized executor trip."""
-        response = await self._exec.run(
-            lambda engine: self._handle_job(engine, job))
-        self._resolve([job], [response])
-
-    def _resolve(self, jobs: List[_Job],
-                 responses: List[Dict[str, Any]]) -> None:
+    async def _run_group(self, jobs: List[_Job]) -> None:
+        """Serve a group in one executor trip and resolve its futures."""
+        responses = await self._exec.run(
+            lambda engine: self._serve_group(engine, jobs))
         for job, response in zip(jobs, responses):
             if not job.future.done():
                 job.future.set_result(response)
 
-    # -- executor-side handlers (the only code that touches the engine) --
-    def _handle_job(self, engine: InferenceEngine,
-                    job: _Job) -> Dict[str, Any]:
-        op = str(job.request.get("op"))
-        self.stats.observe("queue_wait_ms",
-                           (_time.monotonic() - job.enqueued_s) * 1000.0)
-        try:
-            with self.stats.span(f"daemon/{op}", nested=False):
-                return protocol.handle_request(engine, job.request)
-        except Exception as exc:
-            return protocol.error_response(exc, job.request)
+    # -- executor side (the only code that touches the engine) ----------
+    def _serve_group(self, engine: InferenceEngine,
+                     jobs: List[_Job]) -> List[Dict[str, Any]]:
+        """Answer a same-op group in arrival order, one request at a time.
 
-    def _serve_predict_group(self, engine: InferenceEngine,
-                             jobs: List[_Job]) -> List[Dict[str, Any]]:
-        """Answer a coalesced group of predict requests in one trip.
-
-        Every request is submitted to the micro-batcher (whole-request
-        batch tickets by default; fused singles with ``fuse_queries``),
-        one flush serves them, and each ticket renders its own response
-        — a ticket that errored yields an error response, it is never
-        dropped.
+        A coalesced ``predict`` / ``score`` group counts under
+        ``<op>_groups`` and ``<op>_group_size``; the whole group is one
+        ``daemon/<op>`` span.  A request that fails yields its own
+        error response; the rest of the group is still answered.
         """
-        self.stats.incr("predict_groups")
-        self.stats.observe("predict_group_size", float(len(jobs)))
-        specs: List[Optional[protocol.PredictSpec]] = [None] * len(jobs)
-        tickets: List[Optional[object]] = [None] * len(jobs)
-        responses: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
-        with self.stats.span("daemon/predict", nested=False):
-            for i, job in enumerate(jobs):
-                self.stats.observe(
-                    "queue_wait_ms",
-                    (_time.monotonic() - job.enqueued_s) * 1000.0)
-                try:
-                    spec = protocol.parse_predict(job.request)
-                    specs[i] = spec
-                    if self.config.fuse_queries and len(spec.subjects) == 1:
-                        tickets[i] = self._batcher.submit(
-                            int(spec.subjects[0]), int(spec.relations[0]),
-                            time=spec.time)
-                    else:
-                        tickets[i] = self._batcher.submit_batch(
-                            spec.subjects, spec.relations, time=spec.time)
-                except Exception as exc:
-                    responses[i] = protocol.error_response(exc, job.request)
-            self._batcher.flush()
-            for i, job in enumerate(jobs):
-                if responses[i] is not None:
-                    continue
-                ticket, spec = tickets[i], specs[i]
-                if ticket.error is not None:
-                    responses[i] = protocol.error_response(ticket.error,
-                                                           job.request)
-                    continue
-                scores = ticket.scores
-                responses[i] = protocol.with_id(
-                    {"ok": True, "op": "predict", "time": ticket.time,
-                     "results": protocol.topk_payload(
-                         engine, scores, spec, ticket.time)},
-                    job.request)
-        return responses
-
-    def _serve_score_group(self, engine: InferenceEngine,
-                           jobs: List[_Job]) -> List[Dict[str, Any]]:
-        """Answer a coalesced group of score requests in one trip.
-
-        Unlike predicts, score requests are not fused into a shared
-        forward — each fact batch is already one forward inside
-        :func:`repro.serving.ops.score_facts` — so the win here is
-        amortizing the executor handoff: the whole group rides a single
-        serialized trip instead of one per request.
-        """
-        self.stats.incr("score_groups")
-        self.stats.observe("score_group_size", float(len(jobs)))
+        op = str(jobs[0].request.get("op"))
+        if op in _BATCHED_OPS:
+            self.stats.incr(f"{op}_groups")
+            self.stats.observe(f"{op}_group_size", float(len(jobs)))
         responses: List[Dict[str, Any]] = []
-        with self.stats.span("daemon/score", nested=False):
+        with self.stats.span(f"daemon/{op}", nested=False):
             for job in jobs:
                 self.stats.observe(
                     "queue_wait_ms",
@@ -479,107 +320,3 @@ class ServingDaemon:
                     responses.append(protocol.error_response(exc,
                                                              job.request))
         return responses
-
-
-class DaemonHandle:
-    """A running daemon on a background thread (see :func:`serve_in_thread`).
-
-    ``address`` is the bound ``(host, port)``; :meth:`stop` performs the
-    daemon's graceful shutdown (drain + snapshot) and joins the thread.
-    """
-
-    def __init__(self, daemon: ServingDaemon,
-                 loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread):
-        self.daemon = daemon
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` of the running daemon."""
-        return self.daemon.address
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Gracefully stop the daemon and join its thread."""
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(self.daemon.stop(),
-                                                      self._loop)
-            future.result(timeout)
-        self._thread.join(timeout)
-
-
-def serve_in_thread(engine: InferenceEngine,
-                    config: Optional[DaemonConfig] = None,
-                    start_timeout: float = 30.0) -> DaemonHandle:
-    """Run a :class:`ServingDaemon` on a background thread.
-
-    Blocks until the socket is bound, then returns a
-    :class:`DaemonHandle` whose ``address`` is connectable.  The caller
-    owns shutdown via :meth:`DaemonHandle.stop`.
-    """
-    daemon = ServingDaemon(engine, config)
-    started = threading.Event()
-    failure: List[BaseException] = []
-    loop_holder: List[asyncio.AbstractEventLoop] = []
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        loop_holder.append(loop)
-        try:
-            loop.run_until_complete(daemon.start())
-        except BaseException as exc:  # surface bind/restore errors
-            failure.append(exc)
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_until_complete(daemon.wait_stopped())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=runner, name="serving-daemon",
-                              daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise RuntimeError("daemon failed to start within "
-                           f"{start_timeout}s")
-    if failure:
-        thread.join(start_timeout)
-        raise failure[0]
-    return DaemonHandle(daemon, loop_holder[0], thread)
-
-
-def run_daemon(engine: InferenceEngine,
-               config: Optional[DaemonConfig] = None,
-               announce=print) -> int:
-    """Blocking entry point for ``repro serve --listen`` (CLI).
-
-    Starts the daemon, announces the bound address as one JSON line,
-    installs SIGINT/SIGTERM handlers that trigger the graceful
-    (snapshot-writing) shutdown, and serves until stopped.
-    """
-    daemon = ServingDaemon(engine, config)
-
-    async def _main() -> None:
-        import signal
-        address = await daemon.start()
-        announce(json.dumps({
-            "ok": True, "op": "listen",
-            "address": [address[0], address[1]],
-            "restored_snapshot": daemon.restored_snapshot,
-            "max_queue": daemon.config.max_queue,
-            "batch_window_ms": daemon.config.batch_window_ms}), flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(daemon.stop()))
-            except NotImplementedError:  # pragma: no cover - non-posix
-                pass
-        await daemon.wait_stopped()
-
-    asyncio.run(_main())
-    return 0

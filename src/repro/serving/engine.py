@@ -53,13 +53,13 @@ import numpy as np
 from ..eval.metrics import ranks_of_targets, softmax_topk
 from ..history import HistoryStore, ContextCache, LRUCache, subgraph_key
 from ..nn import no_grad
+from ..obs import Telemetry
 from ..tkg.dataset import Snapshot, TKGDataset
 from ..tkg.filtering import TimeAwareFilter
 from ..tkg.quadruples import QuadrupleSet
 from ..training.context import TimestepBatch
-from .stats import ServingStats
 
-# Stage names used with ServingStats.time.
+# Stage names the engine records (flat spans on :attr:`InferenceEngine.stats`).
 STAGES = ("ingest", "local_state", "subgraph", "forward", "rank",
           "calibrate")
 
@@ -76,9 +76,9 @@ def filtered_topk_rows(scores: np.ndarray, subjects: np.ndarray,
 
     The one shared :func:`repro.eval.metrics.softmax_topk` pass behind
     every serving top-k front-end (:meth:`InferenceEngine.predict_topk`,
-    :meth:`InferenceEngine.predict_topk_batch`, the protocol's batched
-    ``predict`` op and the micro-batcher tickets), so all of them agree
-    exactly on probabilities and tie order.  With ``time_filter`` set
+    :meth:`InferenceEngine.predict_topk_batch` and the protocol's
+    batched ``predict`` op), so all of them agree exactly on
+    probabilities and tie order.  With ``time_filter`` set
     (a :class:`repro.tkg.filtering.TimeAwareFilter`), entities already
     observed as answers of ``(subject, relation)`` at ``query_time`` are
     struck to ``-inf`` before ranking: one memoized
@@ -208,7 +208,7 @@ class InferenceEngine:
         self._delta = DeltaState(
             history=HistoryStore.streaming(num_relations),
             filter=TimeAwareFilter([]))
-        self.stats = ServingStats()
+        self.stats = Telemetry("serving")
         self._supports_context = all(
             hasattr(model, method) for method in
             ("precompute_context", "encode_queries", "score_queries"))
@@ -392,7 +392,7 @@ class InferenceEngine:
         ``(k, 4)`` rows whose shared time column may replace ``time``.
         Timestamps must be strictly increasing across calls.
         """
-        with self.stats.time("ingest"):
+        with self.stats.span("ingest", nested=False):
             arr = np.asarray(facts, dtype=np.int64)
             if arr.ndim != 2 or arr.shape[1] not in (3, 4):
                 raise ValueError(f"expected (k, 3) or (k, 4) facts, "
@@ -512,7 +512,7 @@ class InferenceEngine:
         if self._supports_context:
             context = self._context(query_time)
             edges = self.global_edges(query_time, subjects, relations)
-            with self.stats.time("forward"):
+            with self.stats.span("forward", nested=False):
                 with no_grad():
                     encoded = self.model.encode_queries(context, subjects,
                                                         relations, edges)
@@ -522,7 +522,7 @@ class InferenceEngine:
             batch = TimestepBatch(time=query_time, subjects=subjects,
                                   relations=relations, objects=None,
                                   phase="serving", context=self)
-            with self.stats.time("forward"):
+            with self.stats.span("forward", nested=False):
                 scores = self.model.predict_on(batch)
 
         if memo_enabled:
@@ -586,7 +586,7 @@ class InferenceEngine:
                         self.window_before(target), target)
             context = self.cache.context(target, build)
             edges = self.global_edges(anchor, subjects, relations)
-            with self.stats.time("forward"):
+            with self.stats.span("forward", nested=False):
                 with no_grad():
                     encoded = self.model.encode_queries(context, subjects,
                                                         relations, edges)
@@ -597,7 +597,7 @@ class InferenceEngine:
                                   relations=relations, objects=None,
                                   phase="serving",
                                   context=_HorizonView(self, anchor))
-            with self.stats.time("forward"):
+            with self.stats.span("forward", nested=False):
                 scores = self.model.predict_on(batch)
 
         if memo_enabled:
@@ -663,7 +663,7 @@ class InferenceEngine:
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         query_time = self.next_time if time is None else int(time)
         scores = self.predict(subjects, relations, time=query_time)
-        with self.stats.time("rank"):
+        with self.stats.span("rank", nested=False):
             if filtered:
                 rows, cols = self.filter.mask_indices_for_batch(
                     subjects, relations, query_time, targets)

@@ -185,7 +185,7 @@ class CalibrationState:
         facts = np.asarray(facts)
         if not len(facts) or engine.last_time is None:
             return
-        with engine.stats.time("calibrate"):
+        with engine.stats.span("calibrate", nested=False):
             scored = score_facts(engine, facts[:, 0], facts[:, 1],
                                  facts[:, 2], time=int(time))
             flags = self.calibrator.flags(scored.prob)

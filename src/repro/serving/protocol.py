@@ -73,7 +73,7 @@ VALID_OPS = ("advance", "predict", "rank", "score", "forecast", "stats",
 # surface through the public request schema.
 OP_APPLY = "__apply__"          # apply one advance delta
 OP_WATERMARK = "__watermark__"  # watermark/readiness handshake
-OP_TELEMETRY = "__telemetry__"  # export the replica's ServingStats
+OP_TELEMETRY = "__telemetry__"  # export the replica's telemetry
 OP_STOP = "__stop__"            # drain and exit the replica loop
 CONTROL_OPS = (OP_APPLY, OP_WATERMARK, OP_TELEMETRY, OP_STOP)
 
@@ -251,10 +251,10 @@ def topk_payload(engine, scores: np.ndarray, spec: PredictSpec,
 def handle_request(engine, request: Dict[str, Any]) -> Dict[str, Any]:
     """Dispatch one decoded request against ``engine``; returns the payload.
 
-    This is the single serving dispatch shared by the stdin JSONL loop
-    and the socket daemon (whose ``predict`` fast path only replaces the
-    *scheduling* of the forward — the schema and the response shape are
-    this function's).  Raises on invalid input; callers wrap errors via
+    This is the single serving dispatch shared by the stdin JSONL loop,
+    the socket daemon and the router's replicas: the daemon only
+    changes *when* a request runs (coalesced groups ride one executor
+    trip), never how.  Raises on invalid input; callers wrap errors via
     :func:`error_response` so serve loops never die on bad requests.
     """
     op = request.get("op")

@@ -51,16 +51,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs import Telemetry
 from . import protocol
 from .engine import InferenceEngine
 from .replica import start_replica_set
-from .stats import ServingStats
+from .server import JSONLServer
 
 
 @dataclass
@@ -116,7 +116,7 @@ class _ReadWriteLock:
             self._cond.notify_all()
 
 
-class ReplicaSetRouter:
+class ReplicaSetRouter(JSONLServer):
     """Asyncio front over N replicas spawned from one engine's read state.
 
     ``engine`` is the **template**: its immutable
@@ -127,17 +127,20 @@ class ReplicaSetRouter:
     watermark.  The template itself is never served from afterwards —
     all traffic goes to the replicas.
 
-    Lifecycle mirrors the daemon: :meth:`start` spawns the set and
-    binds the socket, :meth:`stop` closes the port and the replicas,
-    :func:`route_in_thread` runs the whole thing on a background
-    thread for synchronous callers.
+    Lifecycle (see :class:`repro.serving.server.JSONLServer`):
+    :meth:`start` binds the socket, spawns and handshakes the set, then
+    serves; :meth:`stop` closes the port and the replicas.  Requests on
+    one connection are answered strictly in arrival order.
     """
+
+    connection_counter = "router_connections"
 
     def __init__(self, engine: InferenceEngine,
                  config: Optional[RouterConfig] = None):
         self.config = config or RouterConfig()
         if self.config.replicas < 1:
             raise ValueError("router needs at least one replica")
+        super().__init__(self.config.host, self.config.port)
         self._read_state = engine.read_state()
         history = engine.history
         self._deltas = history.delta_since(history.base_watermark)
@@ -146,22 +149,21 @@ class ReplicaSetRouter:
         # construction so a router that never advanced reports age
         # since it came up, not a null.
         self._last_advance_s = _time.monotonic()
-        self.stats = ServingStats()
+        self.stats = Telemetry("serving")
         self._replicas: List[object] = []
         self._ready: List[bool] = []
         self._rr = 0
         self._pool: Optional[ThreadPoolExecutor] = None
         self._rw = _ReadWriteLock()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: set = set()
-        self._stopping = False
-        self._stopped: Optional[asyncio.Event] = None
-        self.address: Optional[Tuple[str, int]] = None
 
-    # -- lifecycle ------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Spawn the replica set, handshake it, bind; returns the address."""
-        self._stopped = asyncio.Event()
+    # -- lifecycle hooks ------------------------------------------------
+    def listen_info(self) -> Dict[str, Any]:
+        """Replica count and the set's opening watermark."""
+        return {"replicas": len(self._replicas),
+                "watermark": self._watermark}
+
+    async def _on_start(self) -> None:
+        """Spawn the replica set and handshake it at the template watermark."""
         self._replicas = start_replica_set(
             self._read_state, self.config.replicas, deltas=self._deltas,
             prefer_fork=self.config.prefer_fork)
@@ -179,32 +181,12 @@ class ReplicaSetRouter:
         if not any(self._ready):
             raise RuntimeError("no replica reached the template watermark "
                                f"{self._watermark} at startup")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        sock = self._server.sockets[0].getsockname()
-        self.address = (sock[0], sock[1])
-        return self.address
 
-    async def stop(self) -> None:
-        """Close the port, stop every replica, release the thread pool."""
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+    async def _on_stopped(self) -> None:
         loop = asyncio.get_running_loop()
         for replica in self._replicas:
             await loop.run_in_executor(self._pool, replica.close)
         self._pool.shutdown(wait=True)
-        self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        """Park until :meth:`stop` has completed."""
-        await self._stopped.wait()
 
     # -- replica I/O ----------------------------------------------------
     async def _ask(self, index: int, message: Dict[str, Any]
@@ -346,7 +328,7 @@ class ReplicaSetRouter:
         the router's own counters under ``router/`` — one payload, per-
         replica attribution preserved.
         """
-        merged = ServingStats()
+        merged = Telemetry("serving")
         merged.merge_child(self.stats, prefix="router")
         statuses = []
         for i in range(len(self._replicas)):
@@ -365,51 +347,26 @@ class ReplicaSetRouter:
              "replicas": statuses, "stats": merged.as_dict()}, request)
 
     # -- connection handling --------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter,
+                                write_lock: asyncio.Lock) -> None:
         """Sniff HTTP vs JSONL on the first line, then serve the stream.
 
         JSONL requests on one connection are answered strictly in
         arrival order — per-connection ordering is part of the bitwise
         trace-parity contract with the daemon.
         """
-        self.stats.incr("router_connections")
-        self._writers.add(writer)
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            if first.startswith(b"GET ") or first.startswith(b"HEAD "):
-                await self._serve_http(first, reader, writer)
-                return
-            line: Optional[bytes] = first
-            while line:
-                text = line.decode("utf-8", errors="replace").strip()
-                if text:
-                    response = await self._answer_line(text)
-                    if response is None:  # quit
-                        break
-                    writer.write((json.dumps(response) + "\n")
-                                 .encode("utf-8"))
-                    await writer.drain()
-                line = await reader.readline()
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _answer_line(self, text: str) -> Optional[Dict[str, Any]]:
-        try:
-            request = protocol.decode_line(text)
-        except protocol.RequestError as exc:
-            return protocol.error_response(exc)
-        if request.get("op") == "quit":
-            return None
-        if self._stopping:
-            return protocol.error_response("shutting down", request)
-        return await self._serve_request(request)
+        first = await reader.readline()
+        if first.startswith(b"GET ") or first.startswith(b"HEAD "):
+            await self._serve_http(first, reader, writer)
+            return
+        async for request in self._requests(reader, writer, write_lock,
+                                            first):
+            if self._stopping:
+                response = protocol.error_response("shutting down", request)
+            else:
+                response = await self._serve_request(request)
+            await self._write(writer, write_lock, response)
 
     # -- HTTP surface ---------------------------------------------------
     async def _serve_http(self, first: bytes, reader: asyncio.StreamReader,
@@ -457,101 +414,3 @@ class ReplicaSetRouter:
         return 404, {"ok": False,
                      "error": f"unknown path {target!r}; "
                      "try /healthz /readyz /stats"}
-
-
-class RouterHandle:
-    """A running router on a background thread (see :func:`route_in_thread`)."""
-
-    def __init__(self, router: ReplicaSetRouter,
-                 loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread):
-        self.router = router
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` of the running router."""
-        return self.router.address
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Stop the router (and its replica set) and join the thread."""
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(self.router.stop(),
-                                                      self._loop)
-            future.result(timeout)
-        self._thread.join(timeout)
-
-
-def route_in_thread(engine: InferenceEngine,
-                    config: Optional[RouterConfig] = None,
-                    start_timeout: float = 60.0) -> RouterHandle:
-    """Run a :class:`ReplicaSetRouter` on a background thread.
-
-    Blocks until the replica set is up and the socket is bound, then
-    returns a handle whose ``address`` is connectable (JSONL and HTTP).
-    The caller owns shutdown via :meth:`RouterHandle.stop`.
-    """
-    router = ReplicaSetRouter(engine, config)
-    started = threading.Event()
-    failure: List[BaseException] = []
-    loop_holder: List[asyncio.AbstractEventLoop] = []
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        loop_holder.append(loop)
-        try:
-            loop.run_until_complete(router.start())
-        except BaseException as exc:  # surface spawn/bind errors
-            failure.append(exc)
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_until_complete(router.wait_stopped())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=runner, name="serving-router",
-                              daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise RuntimeError(f"router failed to start within {start_timeout}s")
-    if failure:
-        thread.join(start_timeout)
-        raise failure[0]
-    return RouterHandle(router, loop_holder[0], thread)
-
-
-def run_router(engine: InferenceEngine,
-               config: Optional[RouterConfig] = None,
-               announce=print) -> int:
-    """Blocking entry point for ``repro serve --listen --replicas N``.
-
-    Starts the replica set and serves until SIGINT/SIGTERM, announcing
-    the bound address as one JSON line (the daemon's startup schema
-    plus the replica count).
-    """
-    router = ReplicaSetRouter(engine, config)
-
-    async def _main() -> None:
-        import signal
-        address = await router.start()
-        announce(json.dumps({
-            "ok": True, "op": "listen",
-            "address": [address[0], address[1]],
-            "replicas": len(router._replicas),
-            "watermark": router._watermark}), flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(router.stop()))
-            except NotImplementedError:  # pragma: no cover - non-posix
-                pass
-        await router.wait_stopped()
-
-    asyncio.run(_main())
-    return 0

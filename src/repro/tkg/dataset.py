@@ -121,8 +121,10 @@ class TKGDataset:
 
     @property
     def num_timestamps(self) -> int:
-        all_times = self.all_facts().timestamps()
-        return int(all_times.max()) + 1 if len(all_times) else 0
+        """One past the latest timestamp of any split (0 when empty)."""
+        return max((int(split.times.max()) + 1
+                    for split in self.splits().values() if len(split)),
+                   default=0)
 
     # ------------------------------------------------------------------
     def snapshots(self, split: str = "train",

@@ -147,7 +147,23 @@ class QuadrupleSet:
         return QuadrupleSet(np.unique(self.array, axis=0))
 
     def concat(self, other: "QuadrupleSet") -> "QuadrupleSet":
-        return QuadrupleSet(np.concatenate([self.array, other.array], axis=0))
+        """Facts of both sets, in canonical order.
+
+        Both inputs are already canonical, so when ``other`` starts at
+        or after ``self``'s last fact in ``(t, s, r, o)`` order (the
+        chronological splits of a dataset) the concatenation is the
+        result as it stands and is adopted without a re-sort.
+        """
+        merged = np.concatenate([self.array, other.array], axis=0)
+        if len(self) and len(other):
+            last, first = self.array[-1], other.array[0]
+            if (first[3], first[0], first[1], first[2]) < \
+                    (last[3], last[0], last[1], last[2]):
+                return QuadrupleSet(merged)
+        merged.setflags(write=False)
+        adopted = QuadrupleSet.__new__(QuadrupleSet)
+        adopted.array = merged
+        return adopted
 
     def max_ids(self) -> Tuple[int, int, int]:
         """Return (max entity id, max relation id, max time) or (-1,-1,-1)."""

@@ -121,26 +121,30 @@ class TestBadFlags:
         assert code == 2
         assert "--workers" in err
 
+    def test_fuse_queries_flag_is_gone(self):
+        # The daemon serves each request as its own forward; no fusion.
+        code, _, err = _run(["serve"] + MINIMAL_ARGS["serve"]
+                            + ["--listen", "127.0.0.1:0", "--fuse-queries"])
+        assert code == 2
+        assert "--fuse-queries" in err
+
     def test_serve_daemon_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--model", "logcl", "--dataset", "tiny",
              "--checkpoint", "x.npz", "--listen", "127.0.0.1:0",
              "--max-queue", "32", "--batch-window-ms", "1.5",
-             "--batch-pending", "8", "--snapshot", "state.npz",
-             "--fuse-queries"])
+             "--batch-pending", "8", "--snapshot", "state.npz"])
         assert args.listen == "127.0.0.1:0"
         assert args.max_queue == 32
         assert args.batch_window_ms == 1.5
         assert args.batch_pending == 8
         assert args.snapshot == "state.npz"
-        assert args.fuse_queries is True
 
     def test_serve_defaults_to_stdin_loop(self):
         args = build_parser().parse_args(
             ["serve", "--model", "logcl", "--dataset", "tiny",
              "--checkpoint", "x.npz"])
         assert args.listen is None
-        assert args.fuse_queries is False
         assert args.replicas == 1 and args.store is None
 
     def test_serve_replica_flags_parse(self):

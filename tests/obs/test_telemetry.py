@@ -219,32 +219,85 @@ class TestHooks:
                 == pytest.approx(0.1))
 
 
-class TestServingFacade:
-    def test_serving_stats_is_telemetry(self):
-        from repro.serving import ServingStats
-        stats = ServingStats()
-        assert isinstance(stats, Telemetry)
-        with stats.time("forward"):
-            stats.incr("queries_served", 2)
-        payload = stats.as_dict()
-        # shared schema plus the serving-specific extras
-        assert set(payload) >= {"name", "uptime_s", "stages", "counters",
-                                "scalars", "throughput_qps",
-                                "cache_hit_rates"}
-        assert payload["stages"]["forward"]["count"] == 1
+class TestServingTelemetry:
+    """The serving engine records into a plain ``Telemetry("serving")``."""
 
-    def test_engine_stages_stay_flat_inside_spans(self):
-        from repro.serving import ServingStats
-        stats = ServingStats()
-        tel = Telemetry("outer")
-        with tel.span("serve"):
-            with stats.time("ingest"):
+    @pytest.fixture(scope="class")
+    def engine(self):
+        from repro import LogCL, LogCLConfig
+        from repro.datasets import load_preset
+        from repro.serving import InferenceEngine
+        dataset = load_preset("tiny")
+        model = LogCL(LogCLConfig(dim=16, window=3, seed=0),
+                      dataset.num_entities, dataset.num_relations)
+        engine = InferenceEngine(model, dataset.num_entities,
+                                 dataset.num_relations, window=3)
+        engine.preload(dataset, splits=("train",))
+        return engine
+
+    def test_engine_stats_is_plain_telemetry(self, engine):
+        assert type(engine.stats) is Telemetry
+        assert engine.stats.name == "serving"
+        # The shared schema, with no serving-only derived keys.
+        assert set(engine.stats.as_dict()) == {"name", "uptime_s", "stages",
+                                               "counters", "scalars"}
+
+    def test_engine_stages_stay_flat_inside_spans(self, engine):
+        """An outer span (the daemon's) does not prefix engine stages."""
+        with engine.stats.span("daemon/predict", nested=False):
+            engine.predict([0, 1], [0, 1])
+        assert "forward" in engine.stats.stages
+        assert "daemon/predict" in engine.stats.stages
+        assert not any(name.startswith("daemon/predict/")
+                       for name in engine.stats.stages)
+
+
+class TestPercentile:
+    """Nearest-rank percentiles of :class:`StageStats`."""
+
+    def test_p50_of_even_sample_is_lower_middle(self):
+        stage = StageStats()
+        for v in (4.0, 1.0, 3.0, 2.0):
+            stage.add(v)
+        # nearest-rank: ceil(0.5 * 4) = 2nd smallest, not the 3rd.
+        assert stage.percentile(0.50) == 2.0
+
+    def test_p50_of_odd_sample_is_middle(self):
+        stage = StageStats()
+        for v in (1.0, 2.0, 3.0):
+            stage.add(v)
+        assert stage.percentile(0.50) == 2.0
+
+    def test_p95_of_hundred_samples(self):
+        stage = StageStats()
+        for v in range(1, 101):
+            stage.add(float(v))
+        assert stage.percentile(0.95) == 95.0
+
+    def test_extremes_clamp_to_min_and_max(self):
+        stage = StageStats()
+        for v in (5.0, 1.0, 9.0):
+            stage.add(v)
+        assert stage.percentile(0.0) == 1.0
+        assert stage.percentile(1.0) == 9.0
+
+    def test_empty_stage_is_zero(self):
+        assert StageStats().percentile(0.5) == 0.0
+
+    def test_single_sample(self):
+        stage = StageStats()
+        stage.add(7.0)
+        for q in (0.0, 0.5, 0.95, 1.0):
+            assert stage.percentile(q) == 7.0
+
+    def test_span_feeds_percentiles(self):
+        tel = Telemetry("serving")
+        for _ in range(4):
+            with tel.span("forward", nested=False):
                 pass
-        assert "ingest" in stats.stages
-
-    def test_stagestats_importable_from_old_home(self):
-        from repro.serving.stats import StageStats as OldStageStats
-        assert OldStageStats is StageStats
+        d = tel.stages["forward"].as_dict()
+        assert d["count"] == 4
+        assert d["p50_ms"] <= d["p95_ms"] <= d["max_ms"]
 
 
 class TestPrefixedMerge:

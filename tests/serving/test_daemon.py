@@ -15,6 +15,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ import pytest
 from repro import LogCL, LogCLConfig
 from repro.data import write_store
 from repro.datasets import load_preset
-from repro.registry import build_model
-from repro.serving import DaemonConfig, InferenceEngine, serve_in_thread
+from repro.serving import (DaemonConfig, InferenceEngine, ServingDaemon,
+                           serve_in_thread)
 from repro.serving import protocol
 
 
@@ -52,10 +53,11 @@ class Client:
         self.sock = socket.create_connection(address, timeout=30)
         self.reader = self.sock.makefile("r", encoding="utf-8")
 
-    def send(self, request):
-        if isinstance(request, dict):
-            request = json.dumps(request)
-        self.sock.sendall((request + "\n").encode("utf-8"))
+    def send(self, *requests):
+        """Send request lines in one write (a pipelined burst)."""
+        self.sock.sendall("".join(
+            (r if isinstance(r, str) else json.dumps(r)) + "\n"
+            for r in requests).encode("utf-8"))
 
     def recv(self):
         line = self.reader.readline()
@@ -76,8 +78,8 @@ def daemon_pair(dataset):
     """A served engine plus an identical serial engine for parity."""
     served = _engine(dataset, seed=0)
     serial = _engine(dataset, seed=0)
-    handle = serve_in_thread(served, DaemonConfig(
-        max_queue=256, batch_max_pending=8, batch_window_ms=5.0))
+    handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
+        max_queue=256, batch_max_pending=8, batch_window_ms=5.0)))
     yield handle, serial
     handle.stop()
 
@@ -151,7 +153,7 @@ class TestConcurrentParity:
     def test_score_parity_bitwise_and_grouped(self, dataset):
         """Concurrent score requests coalesce yet match the serial engine.
 
-        Score groups are homogeneous micro-batches: each fact batch
+        Score groups are homogeneous coalesced groups: each fact batch
         keeps its own forward, so a calibrated daemon's responses must
         equal the serial engine's digit-for-digit while the stats show
         the executor trips were amortized (``score_groups`` <= requests
@@ -167,8 +169,8 @@ class TestConcurrentParity:
             return engine
 
         served, serial = calibrated(), calibrated()
-        handle = serve_in_thread(served, DaemonConfig(
-            max_queue=256, batch_max_pending=64, batch_window_ms=50.0))
+        handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
+            max_queue=256, batch_max_pending=64, batch_window_ms=50.0)))
         try:
             t = serial.next_time
             facts = dataset.valid.array
@@ -203,52 +205,98 @@ class TestConcurrentParity:
         finally:
             handle.stop()
 
-    def test_fused_singles_parity_on_batch_insensitive_model(self, dataset):
-        """fuse_queries merges single-query requests into one forward.
 
-        Only batch-composition-insensitive models (per-row decoders like
-        DistMult) keep bitwise parity under fusion — which is why fusion
-        is opt-in and off by default for LogCL.
+class TestCoalescing:
+    """A coalesced group is one executor trip; each request stays its own."""
+
+    def test_group_is_one_trip_with_a_forward_per_request(self, dataset):
+        """Pipelined predicts fill one group at the size trigger.
+
+        Four 2-query requests reach ``batch_max_pending=8`` exactly, so
+        the group closes on size long before the 10 s window.  Each
+        request is still its own forward (one score-cache miss each)
+        and answers exactly as the serial engine does.
         """
-        served = InferenceEngine(build_model("distmult", dataset,
-                                             dim=16).eval(),
-                                 dataset.num_entities, dataset.num_relations,
-                                 window=3)
-        served.preload(dataset, splits=("train",))
-        serial = InferenceEngine(build_model("distmult", dataset,
-                                             dim=16).eval(),
-                                 dataset.num_entities, dataset.num_relations,
-                                 window=3)
-        serial.preload(dataset, splits=("train",))
-        handle = serve_in_thread(served, DaemonConfig(
-            fuse_queries=True, batch_max_pending=16, batch_window_ms=50.0))
+        served, serial = _engine(dataset), _engine(dataset)
+        handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
+            batch_max_pending=8, batch_window_ms=10_000.0)))
         try:
-            t = serial.next_time
-            facts = dataset.valid.array[:6]
-            requests = [{"op": "predict", "id": i, "time": int(t),
-                         "queries": [[int(s), int(r)]], "topk": 5}
-                        for i, (s, r) in enumerate(facts[:, :2])]
+            t = int(serial.next_time)
+            facts = dataset.valid.array
+            requests = [{"op": "predict", "id": i, "time": t, "topk": 5,
+                         "queries": facts[2 * i:2 * i + 2, :2].tolist()}
+                        for i in range(4)]
             expected = {r["id"]: protocol.handle_request(serial, r)
                         for r in requests}
-            responses = {}
+            client = Client(handle.address)
+            client.send(*requests)
+            responses = [client.recv() for _ in requests]
+            stats = client.request({"op": "stats"})["stats"]
+            client.close()
+            assert {r["id"]: r for r in responses} == expected
+            assert stats["counters"]["predict_groups"] == 1
+            assert stats["scalars"]["predict_group_size"]["max"] == 4.0
+            assert stats["counters"]["score_cache_misses"] == len(requests)
+        finally:
+            handle.stop()
 
-            def run(request):
-                client = Client(handle.address)
-                try:
-                    responses[request["id"]] = client.request(request)
-                finally:
-                    client.close()
+    def test_window_closes_a_lone_request_group(self, dataset):
+        """Below the size trigger a group waits out the window, no longer.
 
-            threads = [threading.Thread(target=run, args=(r,))
-                       for r in requests]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-            assert responses == expected
-            fused = handle.daemon.stats.counters.get("microbatched_queries",
-                                                     0)
-            assert fused >= len(requests)
+        The lone request's queue wait covers the window, which is what
+        ``queue_wait_ms`` reports.
+        """
+        handle = serve_in_thread(ServingDaemon(_engine(dataset), DaemonConfig(
+            batch_max_pending=64, batch_window_ms=300.0)))
+        try:
+            client = Client(handle.address)
+            started = time.monotonic()
+            response = client.request({"op": "predict", "queries": [[0, 0]]})
+            waited = time.monotonic() - started
+            stats = client.request({"op": "stats"})["stats"]
+            client.close()
+            assert response["ok"]
+            assert 0.25 <= waited < 30.0
+            assert stats["scalars"]["queue_wait_ms"]["max"] >= 250.0
+        finally:
+            handle.stop()
+
+    def test_failing_request_errors_alone(self, dataset):
+        """An engine fault mid-group answers that request with an error.
+
+        The requests before and after it in the same group are served
+        normally: nothing is dropped and nothing else fails.
+        """
+        served, serial = _engine(dataset), _engine(dataset)
+        real_predict = served.predict
+        calls = {"n": 0}
+
+        def flaky_predict(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("injected engine fault")
+            return real_predict(*args, **kwargs)
+
+        served.predict = flaky_predict
+        handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
+            batch_max_pending=3, batch_window_ms=10_000.0)))
+        try:
+            t = int(serial.next_time)
+            requests = [{"op": "predict", "id": i, "time": t, "topk": 3,
+                         "queries": [[i, 0]]} for i in range(3)]
+            client = Client(handle.address)
+            client.send(*requests)
+            responses = {r["id"]: r for r in
+                         (client.recv() for _ in requests)}
+            groups = client.request({"op": "stats"})["stats"]["counters"][
+                "predict_groups"]
+            client.close()
+            assert responses[1]["ok"] is False
+            assert "injected engine fault" in responses[1]["error"]
+            for i in (0, 2):
+                assert responses[i] == protocol.handle_request(serial,
+                                                               requests[i])
+            assert groups == 1
         finally:
             handle.stop()
 
@@ -260,13 +308,12 @@ class TestBackpressure:
         real_predict = engine.predict
 
         def slow_predict(*args, **kwargs):
-            import time
             time.sleep(0.05)
             return real_predict(*args, **kwargs)
 
         engine.predict = slow_predict
-        handle = serve_in_thread(engine, DaemonConfig(
-            max_queue=2, batch_max_pending=1, batch_window_ms=0.0))
+        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig(
+            max_queue=2, batch_max_pending=1, batch_window_ms=0.0)))
         try:
             client = Client(handle.address)
             total = 30
@@ -281,7 +328,7 @@ class TestBackpressure:
             assert shed, "saturating load produced no shed responses"
             assert all(r["error"] == "overloaded" for r in shed)
             assert served, "backpressure must not shed everything"
-            assert handle.daemon.stats.counters["requests_shed"] == len(shed)
+            assert handle.server.stats.counters["requests_shed"] == len(shed)
         finally:
             handle.stop()
 
@@ -303,7 +350,8 @@ class TestSnapshotRestart:
                                  dataset.num_entities, dataset.num_relations,
                                  window=3)
         mapped_facts = engine.use_store_file(store_path)
-        handle = serve_in_thread(engine, DaemonConfig(snapshot_path=snapshot))
+        handle = serve_in_thread(ServingDaemon(
+            engine, DaemonConfig(snapshot_path=snapshot)))
         client = Client(handle.address)
         t = int(client.request({"op": "stats"})["stats"]["counters"]
                 .get("snapshots_ingested", 0))  # just exercises stats op
@@ -332,10 +380,10 @@ class TestSnapshotRestart:
         engine2 = InferenceEngine(_model(dataset, seed=7),
                                   dataset.num_entities,
                                   dataset.num_relations, window=3)
-        handle2 = serve_in_thread(engine2,
-                                  DaemonConfig(snapshot_path=snapshot))
+        handle2 = serve_in_thread(ServingDaemon(
+            engine2, DaemonConfig(snapshot_path=snapshot)))
         try:
-            assert handle2.daemon.restored_snapshot
+            assert handle2.server.restored_snapshot
             client2 = Client(handle2.address)
             after = client2.request(query)
             client2.close()
@@ -345,10 +393,10 @@ class TestSnapshotRestart:
 
     def test_missing_snapshot_starts_cold(self, dataset, tmp_path):
         engine = _engine(dataset, seed=0)
-        handle = serve_in_thread(engine, DaemonConfig(
-            snapshot_path=str(tmp_path / "never_written.npz")))
+        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig(
+            snapshot_path=str(tmp_path / "never_written.npz"))))
         try:
-            assert not handle.daemon.restored_snapshot
+            assert not handle.server.restored_snapshot
             client = Client(handle.address)
             assert client.request({"op": "stats"})["ok"]
             client.close()
@@ -359,7 +407,7 @@ class TestSnapshotRestart:
 class TestProtocolOverTheWire:
     def test_bad_lines_get_structured_errors(self, dataset):
         engine = _engine(dataset, seed=0, preload=())
-        handle = serve_in_thread(engine, DaemonConfig())
+        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig()))
         try:
             client = Client(handle.address)
             bare = client.request("5")
@@ -376,7 +424,7 @@ class TestProtocolOverTheWire:
 
     def test_out_of_range_ids_rejected(self, dataset):
         engine = _engine(dataset, seed=0, preload=())
-        handle = serve_in_thread(engine, DaemonConfig())
+        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig()))
         try:
             client = Client(handle.address)
             response = client.request({
@@ -390,7 +438,7 @@ class TestProtocolOverTheWire:
 
     def test_id_echo_on_success(self, dataset):
         engine = _engine(dataset, seed=0)
-        handle = serve_in_thread(engine, DaemonConfig())
+        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig()))
         try:
             client = Client(handle.address)
             response = client.request({"op": "predict", "id": "q-1",
@@ -404,7 +452,7 @@ class TestProtocolOverTheWire:
 
     def test_daemon_stats_expose_queue_and_batching(self, dataset):
         engine = _engine(dataset, seed=0)
-        handle = serve_in_thread(engine, DaemonConfig())
+        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig()))
         try:
             client = Client(handle.address)
             client.request({"op": "predict", "queries": [[0, 0]]})
@@ -433,7 +481,8 @@ class TestQueueDepthSampling:
         test pins down is exactly 2 samples per job with the *last* one
         taken after the consumer pulled the job off (depth back to 0).
         """
-        handle = serve_in_thread(_engine(dataset, seed=0), DaemonConfig())
+        handle = serve_in_thread(ServingDaemon(_engine(dataset, seed=0),
+                                               DaemonConfig()))
         try:
             client = Client(handle.address)
             facts = dataset.test.array
@@ -475,7 +524,8 @@ class TestSnapshotAdvanceRace:
                                  window=3)
         engine.use_store_file(store_path)
         base, t = engine.watermark, int(engine.next_time)
-        handle = serve_in_thread(engine, DaemonConfig(snapshot_path=snapshot))
+        handle = serve_in_thread(ServingDaemon(
+            engine, DaemonConfig(snapshot_path=snapshot)))
 
         outcome = {}
 
@@ -501,10 +551,10 @@ class TestSnapshotAdvanceRace:
         engine2 = InferenceEngine(_model(dataset, seed=0),
                                   dataset.num_entities, dataset.num_relations,
                                   window=3)
-        handle2 = serve_in_thread(engine2,
-                                  DaemonConfig(snapshot_path=snapshot))
+        handle2 = serve_in_thread(ServingDaemon(
+            engine2, DaemonConfig(snapshot_path=snapshot)))
         try:
-            assert handle2.daemon.restored_snapshot
+            assert handle2.server.restored_snapshot
             client = Client(handle2.address)
             stats = client.request({"op": "stats"})
             assert stats["watermark"] == base + (1 if acked else 0)

@@ -237,8 +237,7 @@ class TestEngineContracts:
         facts = dataset.test.at_time(t).array
         engine.predict(facts[:, 0].copy(), facts[:, 1].copy(), time=t)
         payload = engine.stats.as_dict()
-        assert {"uptime_s", "throughput_qps", "stages", "counters",
-                "cache_hit_rates"} <= set(payload)
+        assert {"uptime_s", "stages", "counters", "scalars"} <= set(payload)
         assert {"ingest", "local_state", "subgraph",
                 "forward"} <= set(payload["stages"])
         for stage in payload["stages"].values():

@@ -18,8 +18,8 @@ from repro import LogCL, LogCLConfig
 from repro.data import write_store
 from repro.datasets import load_preset
 from repro.serving import (CalibrationConfig, DaemonConfig,
-                           InferenceEngine, RouterConfig,
-                           fork_replicas_available, route_in_thread,
+                           InferenceEngine, ReplicaSetRouter, RouterConfig,
+                           ServingDaemon, fork_replicas_available,
                            serve_in_thread)
 from repro.serving import protocol
 
@@ -126,9 +126,10 @@ def _serial_response(engine, request):
 def _parity_roundtrip(dataset, store_path, prefer_fork, replicas=2):
     served = _engine(dataset, store_path)
     serial = _engine(dataset, store_path)
-    router = route_in_thread(served, RouterConfig(
-        replicas=replicas, prefer_fork=prefer_fork))
-    daemon = serve_in_thread(_engine(dataset, store_path), DaemonConfig())
+    router = serve_in_thread(ReplicaSetRouter(served, RouterConfig(
+        replicas=replicas, prefer_fork=prefer_fork)))
+    daemon = serve_in_thread(ServingDaemon(_engine(dataset, store_path),
+                                           DaemonConfig()))
     try:
         rc, dc = Client(router.address), Client(daemon.address)
         t = served.next_time
@@ -156,9 +157,9 @@ class TestBitwiseDaemonParity:
 
     def test_reads_actually_rotate_replicas(self, dataset, store_path):
         """Round-robin means consecutive identical reads still agree."""
-        router = route_in_thread(_engine(dataset, store_path),
-                                 RouterConfig(replicas=2,
-                                              prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            _engine(dataset, store_path),
+            RouterConfig(replicas=2, prefer_fork=False)))
         try:
             client = Client(router.address)
             facts = dataset.test.array
@@ -180,8 +181,8 @@ class TestSingleReplicaSmoke:
 
     def test_single_replica_router_end_to_end(self, dataset, store_path):
         served = _engine(dataset, store_path)
-        router = route_in_thread(served, RouterConfig(replicas=1,
-                                                      prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            served, RouterConfig(replicas=1, prefer_fork=False)))
         try:
             client = Client(router.address)
             t = served.next_time
@@ -192,7 +193,7 @@ class TestSingleReplicaSmoke:
             ack = client.request({"op": "advance",
                                   "facts": facts[:2, :3].tolist(),
                                   "time": int(t)})
-            assert ack["ok"] and ack["watermark"] == router.router._watermark
+            assert ack["ok"] and ack["watermark"] == router.server._watermark
             after = client.request({"op": "predict",
                                     "queries": facts[:2, :2].tolist(),
                                     "time": int(t) + 1})
@@ -220,14 +221,14 @@ class TestConsistency:
         reads keep flowing from the consistent replica.
         """
         served = _engine(dataset, store_path)
-        router = route_in_thread(served, RouterConfig(replicas=2,
-                                                      prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            served, RouterConfig(replicas=2, prefer_fork=False)))
         try:
             t = served.next_time
             # Behind the router's back: replica 0 applies a snapshot at
             # the fan-out timestamp, so the router's own advance at t
             # will fail on it (monotonic time) but succeed on replica 1.
-            router.router._replicas[0].request({
+            router.server._replicas[0].request({
                 "op": protocol.OP_APPLY,
                 "request": {"op": "advance", "facts": [[0, 0, 1]],
                             "time": int(t)}})
@@ -255,9 +256,9 @@ class TestConsistency:
             router.stop()
 
     def test_uniform_rejection_keeps_set_ready(self, dataset, store_path):
-        router = route_in_thread(_engine(dataset, store_path),
-                                 RouterConfig(replicas=2,
-                                              prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            _engine(dataset, store_path),
+            RouterConfig(replicas=2, prefer_fork=False)))
         try:
             client = Client(router.address)
             rejected = client.request({"op": "advance", "facts": [[0, 0]],
@@ -274,9 +275,9 @@ class TestConsistency:
 
 class TestHTTPSurface:
     def test_stats_merges_per_replica_telemetry(self, dataset, store_path):
-        router = route_in_thread(_engine(dataset, store_path),
-                                 RouterConfig(replicas=2,
-                                              prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            _engine(dataset, store_path),
+            RouterConfig(replicas=2, prefer_fork=False)))
         try:
             client = Client(router.address)
             facts = dataset.test.array
@@ -305,8 +306,8 @@ class TestHTTPSurface:
         wall-clock free so request traces replay bitwise-identically.
         """
         served = _engine(dataset, store_path)
-        router = route_in_thread(served, RouterConfig(replicas=1,
-                                                      prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            served, RouterConfig(replicas=1, prefer_fork=False)))
         try:
             host, port = router.address
 
@@ -335,9 +336,9 @@ class TestHTTPSurface:
             router.stop()
 
     def test_unknown_path_404(self, dataset, store_path):
-        router = route_in_thread(_engine(dataset, store_path),
-                                 RouterConfig(replicas=1,
-                                              prefer_fork=False))
+        router = serve_in_thread(ReplicaSetRouter(
+            _engine(dataset, store_path),
+            RouterConfig(replicas=1, prefer_fork=False)))
         try:
             host, port = router.address
             with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -42,6 +42,14 @@ class TestDataset:
     def test_num_timestamps(self):
         assert tiny_dataset().num_timestamps == 5
 
+    def test_num_timestamps_with_empty_splits(self):
+        train = QuadrupleSet.from_quads([(0, 0, 1, 6)])
+        empty = QuadrupleSet.empty()
+        assert TKGDataset("t", train, empty, empty, num_entities=3,
+                          num_relations=2).num_timestamps == 7
+        assert TKGDataset("e", empty, empty, empty, num_entities=3,
+                          num_relations=2).num_timestamps == 0
+
     def test_snapshots_time_ordered(self):
         snaps = tiny_dataset().snapshots("train")
         assert [s.time for s in snaps] == [0, 1, 2]

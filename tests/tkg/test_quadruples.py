@@ -134,6 +134,45 @@ class TestProperties:
             assert QuadrupleSet(chunk) == qs.at_time(t)
 
 
+class TestConcat:
+    """``concat`` equals a plain sort of both inputs, fast path or not."""
+
+    @staticmethod
+    def _plain_sort(a, b):
+        arr = np.concatenate([a.array, b.array]).astype(np.int64)
+        order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0], arr[:, 3]))
+        return arr[order].astype(a.array.dtype)
+
+    @pytest.mark.parametrize("left,right", [
+        ([(3, 0, 1, 0), (0, 1, 2, 1)], [(5, 0, 0, 2), (1, 1, 1, 3)]),
+        ([(0, 0, 1, 0), (2, 1, 0, 2)], [(2, 1, 0, 2), (0, 0, 0, 3)]),
+        ([(0, 0, 1, 0), (2, 1, 0, 2)], [(1, 1, 1, 1), (0, 0, 0, 3)]),
+        ([(2, 1, 0, 2)], [(1, 1, 1, 2)]),
+        ([], [(1, 1, 1, 2)]),
+        ([(1, 1, 1, 2)], []),
+        ([], []),
+    ], ids=["disjoint", "boundary-tie", "interleaved", "same-time-earlier",
+            "empty-left", "empty-right", "both-empty"])
+    def test_bitwise_equal_to_plain_sort(self, left, right):
+        a, b = QuadrupleSet.from_quads(left), QuadrupleSet.from_quads(right)
+        merged = a.concat(b)
+        expected = self._plain_sort(a, b)
+        assert merged.array.dtype == expected.dtype
+        assert merged.array.tobytes() == expected.tobytes()
+        assert not merged.array.flags.writeable
+
+    @given(quad_arrays(), quad_arrays())
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_plain_sort(self, left, right):
+        a, b = QuadrupleSet(left), QuadrupleSet(right)
+        assert a.concat(b).array.tobytes() == \
+            self._plain_sort(a, b).tobytes()
+        later = QuadrupleSet(np.concatenate(
+            [right[:, :3], right[:, 3:] + 7], axis=1))
+        assert a.concat(later).array.tobytes() == \
+            self._plain_sort(a, later).tobytes()
+
+
 class TestIOProperties:
     @given(quad_arrays())
     @settings(max_examples=25, deadline=None)
