@@ -240,6 +240,62 @@ class TestCoalescing:
         finally:
             handle.stop()
 
+    def test_size_trigger_closes_group_before_window(self, dataset):
+        """Reaching ``batch_max_pending`` queries runs the group at once.
+
+        Two pipelined 4-query requests fill an 8-query group; the answers
+        come back long before the 10 s window would have closed it.
+        """
+        handle = serve_in_thread(ServingDaemon(_engine(dataset), DaemonConfig(
+            batch_max_pending=8, batch_window_ms=10_000.0)))
+        try:
+            facts = dataset.valid.array
+            requests = [{"op": "predict", "id": i,
+                         "queries": facts[4 * i:4 * i + 4, :2].tolist()}
+                        for i in range(2)]
+            client = Client(handle.address)
+            started = time.monotonic()
+            client.send(*requests)
+            responses = [client.recv() for _ in requests]
+            waited = time.monotonic() - started
+            stats = client.request({"op": "stats"})["stats"]
+            client.close()
+            assert all(r["ok"] for r in responses)
+            assert waited < 5.0
+            assert stats["counters"]["predict_groups"] == 1
+            assert stats["scalars"]["predict_group_size"]["max"] == 2.0
+        finally:
+            handle.stop()
+
+    def test_window_runs_from_the_first_pending_request(self, dataset):
+        """A late joiner shares the first request's deadline, not its own.
+
+        The second request arrives partway through the window and joins
+        the group, so its queue wait is shorter than the first one's by
+        about the gap between them; the first waits out the window.
+        """
+        handle = serve_in_thread(ServingDaemon(_engine(dataset), DaemonConfig(
+            batch_max_pending=64, batch_window_ms=600.0)))
+        try:
+            first, second = Client(handle.address), Client(handle.address)
+            first.send({"op": "predict", "id": 0, "queries": [[0, 0]]})
+            time.sleep(0.3)
+            second.send({"op": "predict", "id": 1, "queries": [[1, 0]]})
+            assert first.recv()["ok"] and second.recv()["ok"]
+            stats = first.request({"op": "stats"})["stats"]
+            first.close()
+            second.close()
+            # Three waits: the two predicts and the stats request itself
+            # (near zero), so the median sample is the late joiner's.
+            waits = stats["scalars"]["queue_wait_ms"]
+            assert stats["counters"]["predict_groups"] == 1
+            assert stats["scalars"]["predict_group_size"]["max"] == 2.0
+            assert waits["count"] == 3
+            assert waits["max"] >= 550.0
+            assert waits["max"] - waits["p50"] >= 150.0
+        finally:
+            handle.stop()
+
     def test_window_closes_a_lone_request_group(self, dataset):
         """Below the size trigger a group waits out the window, no longer.
 
