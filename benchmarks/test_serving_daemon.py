@@ -8,8 +8,8 @@ connections mixing ``predict`` and ``rank`` requests.  Three claims are
 asserted, matching the acceptance bar for the daemon:
 
 * every response is **bitwise identical** to what the serial engine
-  returns for the same request (the daemon coalesces *requests*, never
-  rewrites a request's batch composition);
+  returns for the same request (the daemon runs each request as its own
+  engine job, never rewrites a request's batch composition);
 * the daemon sustains >= ``NUM_CLIENTS`` concurrent clients with
   recorded sustained QPS and p50/p99 latency;
 * past the admission-control depth a saturating burst is *shed* with
@@ -171,8 +171,8 @@ def _load_phase(handle, serial, dataset, t):
 
 def _overload_phase(engine, dataset, t):
     """Saturating burst against a tiny admission queue; count sheds."""
-    handle = serve_in_thread(ServingDaemon(engine, DaemonConfig(
-        max_queue=4, batch_max_pending=4, batch_window_ms=0.5)))
+    handle = serve_in_thread(ServingDaemon(engine,
+                                           DaemonConfig(max_queue=4)))
     try:
         sock = socket.create_connection(handle.address, timeout=60)
         reader = sock.makefile("r", encoding="utf-8")
@@ -211,8 +211,8 @@ def test_serving_daemon(benchmark):
     serial = _build_engine(model, dataset)
     t = serial.next_time
 
-    handle = serve_in_thread(ServingDaemon(served_engine, DaemonConfig(
-        max_queue=64, batch_max_pending=8, batch_window_ms=2.0)))
+    handle = serve_in_thread(ServingDaemon(served_engine,
+                                           DaemonConfig(max_queue=64)))
     try:
         record, parity_checked = benchmark.pedantic(
             _load_phase, args=(handle, serial, dataset, t),
@@ -221,7 +221,6 @@ def test_serving_daemon(benchmark):
     finally:
         handle.stop()
     record["dataset"] = DATASET
-    record["predict_groups"] = int(daemon_counters.get("predict_groups", 0))
     record["load_phase_shed"] = int(daemon_counters.get("requests_shed", 0))
 
     record.update(_overload_phase(served_engine, dataset, t))

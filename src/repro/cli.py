@@ -138,18 +138,6 @@ def _cmd_online(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_handle(engine, request: dict) -> dict:
-    """Dispatch one JSONL serving request; returns the response payload.
-
-    Thin alias over :func:`repro.serving.protocol.handle_request` — the
-    stdin loop and the socket daemon share one dispatch (batched predict
-    forward, int32 fact-contract validation, ``id`` echo).
-    """
-    from .serving import protocol
-
-    return protocol.handle_request(engine, request)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """JSONL request loop: one JSON object per stdin line, one per reply.
 
@@ -171,9 +159,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     With ``--listen host:port`` the loop is replaced by the persistent
     socket daemon (:mod:`repro.serving.daemon`): many concurrent TCP
-    clients, the same JSONL schema, admission control past
-    ``--max-queue``, windowed cross-client request coalescing
-    (``--batch-window-ms`` / ``--batch-pending``), and — with
+    clients, the same JSONL schema, each request answered on its own in
+    arrival order, admission control past ``--max-queue``, and — with
     ``--snapshot`` — graceful-shutdown snapshotting restored on the
     next start (delta-replay for store-file-backed engines).
 
@@ -231,8 +218,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return run_server(ServingDaemon(engine, DaemonConfig(
             host=host or "127.0.0.1", port=int(port),
             max_queue=args.max_queue,
-            batch_max_pending=args.batch_pending,
-            batch_window_ms=args.batch_window_ms,
             snapshot_path=args.snapshot)))
     if replicas > 1:
         raise SystemExit("--replicas needs --listen: the stdin loop is "
@@ -248,7 +233,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request = protocol.decode_line(line)
             if request.get("op") == "quit":
                 break
-            response = _serve_handle(engine, request)
+            response = protocol.handle_request(engine, request)
         except Exception as exc:  # serve loops must not die on bad input
             response = protocol.error_response(exc, request)
         print(json.dumps(response), flush=True)
@@ -389,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-queue", type=int, default=64,
                          help="daemon admission-control depth; requests "
                               "past this are shed as overloaded")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="daemon request-coalescing window")
-    p_serve.add_argument("--batch-pending", type=int, default=16,
-                         help="daemon request-coalescing size trigger "
-                              "(queries)")
     p_serve.add_argument("--replicas", type=int, default=1, metavar="N",
                          help="with --listen: serve through the replica-set "
                               "router (N worker engines over one shared "

@@ -6,8 +6,8 @@ answer ``(s, r, t, ?)`` queries with :meth:`InferenceEngine.predict`,
 observe latency and cache behaviour through the engine's
 :class:`repro.obs.Telemetry` registry (``engine.stats``).  For a
 long-lived service surface, :mod:`repro.serving.daemon` runs the engine
-behind an asyncio JSONL-over-TCP server with admission control,
-windowed request coalescing and snapshot/restore; the request schema
+behind an asyncio JSONL-over-TCP server with admission control, one
+engine job per request and snapshot/restore; the request schema
 lives in :mod:`repro.serving.protocol`.
 
 For read scaling, the engine is a read/write split
@@ -30,8 +30,7 @@ telemetry from :class:`repro.obs.DriftMonitor`.  See ``docs/ops.md``.
 
 from . import protocol
 from .daemon import DaemonConfig, EngineExecutor, ServingDaemon
-from .engine import (DeltaState, InferenceEngine, ReadState, ServingBatch,
-                     filtered_topk_rows)
+from .engine import DeltaState, InferenceEngine, ReadState, filtered_topk_rows
 from .ops import (CalibrationConfig, CalibrationState, FactScores,
                   ScoreCalibrator, anomaly_auc, forecast_response,
                   score_facts, score_response, softmax_rows)
@@ -41,8 +40,7 @@ from .router import ReplicaSetRouter, RouterConfig
 from .server import JSONLServer, ServerHandle, run_server, serve_in_thread
 
 __all__ = [
-    "InferenceEngine", "ReadState", "DeltaState", "ServingBatch",
-    "filtered_topk_rows",
+    "InferenceEngine", "ReadState", "DeltaState", "filtered_topk_rows",
     "CalibrationConfig", "CalibrationState", "ScoreCalibrator",
     "FactScores", "score_facts", "score_response", "forecast_response",
     "anomaly_auc", "softmax_rows",

@@ -63,11 +63,6 @@ from ..training.context import TimestepBatch
 STAGES = ("ingest", "local_state", "subgraph", "forward", "rank",
           "calibrate")
 
-# The serving batch type IS the training batch type: one history surface,
-# one batch carrier (kept under the old name for imports that predate the
-# repro.history unification).
-ServingBatch = TimestepBatch
-
 
 def filtered_topk_rows(scores: np.ndarray, subjects: np.ndarray,
                        relations: np.ndarray, query_time: int, k: int,
@@ -479,56 +474,8 @@ class InferenceEngine:
         for object-to-subject queries, exactly as in batch evaluation.
         ``time`` defaults to :attr:`next_time`.
         """
-        subjects = np.ascontiguousarray(subjects, dtype=np.int64)
-        relations = np.ascontiguousarray(relations, dtype=np.int64)
-        if subjects.shape != relations.shape or subjects.ndim != 1:
-            raise ValueError("subjects/relations must be aligned 1-D arrays")
         query_time = self.next_time if time is None else int(time)
-        if query_time < self.history.index.horizon:
-            raise ValueError(
-                f"queries must advance monotonically in time: the index is "
-                f"already at t={self.history.index.horizon}, "
-                f"asked {query_time}")
-
-        memo_enabled = (self._score_cache.capacity > 0
-                        and getattr(self.model, "input_noise_std", 0.0) <= 0.0)
-        # subgraph_key folds dtype+length into the key (repro.history
-        # .array_key) — the queries above are normalized to int64, but
-        # keying through the shared helper keeps every content-addressed
-        # cache in the repo collision-safe by construction.  The store
-        # watermark prefixes the key, so an entry cached before an
-        # advance can never answer a post-advance query: cache validity
-        # is structural, not dependent on the eviction sweep.
-        key = (self.watermark,) + subgraph_key(query_time, subjects,
-                                               relations)
-        if memo_enabled:
-            cached = self._score_cache.get(key)
-            if cached is not None:
-                self.stats.incr("score_cache_hits")
-                self.stats.incr("queries_served", len(subjects))
-                return cached.copy()
-        self.stats.incr("score_cache_misses")
-
-        if self._supports_context:
-            context = self._context(query_time)
-            edges = self.global_edges(query_time, subjects, relations)
-            with self.stats.span("forward", nested=False):
-                with no_grad():
-                    encoded = self.model.encode_queries(context, subjects,
-                                                        relations, edges)
-                    scores = self.model.score_queries(encoded, subjects,
-                                                      relations).data
-        else:
-            batch = TimestepBatch(time=query_time, subjects=subjects,
-                                  relations=relations, objects=None,
-                                  phase="serving", context=self)
-            with self.stats.span("forward", nested=False):
-                scores = self.model.predict_on(batch)
-
-        if memo_enabled:
-            self._score_cache.put(key, scores)
-        self.stats.incr("queries_served", len(subjects))
-        return scores.copy() if memo_enabled else scores
+        return self._scores(subjects, relations, query_time, query_time)
 
     def predict_horizon(self, subjects: np.ndarray, relations: np.ndarray,
                         steps: int = 1) -> np.ndarray:
@@ -551,8 +498,18 @@ class InferenceEngine:
         if steps < 1:
             raise ValueError("steps must be >= 1")
         anchor = self.next_time
-        if steps == 1:
-            return self.predict(subjects, relations, time=anchor)
+        return self._scores(subjects, relations, anchor + steps - 1, anchor)
+
+    def _scores(self, subjects: np.ndarray, relations: np.ndarray,
+                target: int, anchor: int) -> np.ndarray:
+        """Scores at ``target`` over the history index at ``anchor``.
+
+        :meth:`predict` is the ``anchor == target`` case.  The memo is
+        keyed at the *target* time: an anchored subgraph is
+        content-identical to the target-time one (no facts in between),
+        so horizon entries agree with genuine predicts at the target
+        and horizons never collide with each other.
+        """
         subjects = np.ascontiguousarray(subjects, dtype=np.int64)
         relations = np.ascontiguousarray(relations, dtype=np.int64)
         if subjects.shape != relations.shape or subjects.ndim != 1:
@@ -562,14 +519,16 @@ class InferenceEngine:
                 f"queries must advance monotonically in time: the index is "
                 f"already at t={self.history.index.horizon}, "
                 f"asked {anchor}")
-        target = anchor + steps - 1
 
         memo_enabled = (self._score_cache.capacity > 0
                         and getattr(self.model, "input_noise_std", 0.0) <= 0.0)
-        # Keyed at the *target* time: the anchored subgraph is
-        # content-identical to the target-time one (no facts in
-        # between), so these entries agree with genuine predicts at the
-        # target and horizons never collide with each other.
+        # subgraph_key folds dtype+length into the key (repro.history
+        # .array_key) — the queries above are normalized to int64, but
+        # keying through the shared helper keeps every content-addressed
+        # cache in the repo collision-safe by construction.  The store
+        # watermark prefixes the key, so an entry cached before an
+        # advance can never answer a post-advance query: cache validity
+        # is structural, not dependent on the eviction sweep.
         key = (self.watermark,) + subgraph_key(target, subjects, relations)
         if memo_enabled:
             cached = self._score_cache.get(key)
@@ -580,11 +539,7 @@ class InferenceEngine:
         self.stats.incr("score_cache_misses")
 
         if self._supports_context:
-            def build() -> Dict:
-                with no_grad():
-                    return self.model.precompute_context(
-                        self.window_before(target), target)
-            context = self.cache.context(target, build)
+            context = self._context(target)
             edges = self.global_edges(anchor, subjects, relations)
             with self.stats.span("forward", nested=False):
                 with no_grad():
@@ -593,10 +548,10 @@ class InferenceEngine:
                     scores = self.model.score_queries(encoded, subjects,
                                                       relations).data
         else:
+            history = self if anchor == target else _HorizonView(self, anchor)
             batch = TimestepBatch(time=target, subjects=subjects,
                                   relations=relations, objects=None,
-                                  phase="serving",
-                                  context=_HorizonView(self, anchor))
+                                  phase="serving", context=history)
             with self.stats.span("forward", nested=False):
                 scores = self.model.predict_on(batch)
 

@@ -75,7 +75,8 @@ OP_APPLY = "__apply__"          # apply one advance delta
 OP_WATERMARK = "__watermark__"  # watermark/readiness handshake
 OP_TELEMETRY = "__telemetry__"  # export the replica's telemetry
 OP_STOP = "__stop__"            # drain and exit the replica loop
-CONTROL_OPS = (OP_APPLY, OP_WATERMARK, OP_TELEMETRY, OP_STOP)
+OP_AT_HORIZON = "__at_horizon__"  # run a message at the set's horizon
+CONTROL_OPS = (OP_APPLY, OP_WATERMARK, OP_TELEMETRY, OP_STOP, OP_AT_HORIZON)
 
 # Best-effort op extraction from a line that failed to parse, so the
 # error payload can still attribute the failure to the intended op.
@@ -253,8 +254,8 @@ def handle_request(engine, request: Dict[str, Any]) -> Dict[str, Any]:
 
     This is the single serving dispatch shared by the stdin JSONL loop,
     the socket daemon and the router's replicas: the daemon only
-    changes *when* a request runs (coalesced groups ride one executor
-    trip), never how.  Raises on invalid input; callers wrap errors via
+    changes *when* a request runs (one executor job each, in arrival
+    order), never how.  Raises on invalid input; callers wrap errors via
     :func:`error_response` so serve loops never die on bad requests.
     """
     op = request.get("op")

@@ -23,7 +23,13 @@ this module turns that into processes.  A **replica** is a worker that
   clients — and tracks the store **watermark** against the value the
   router expects, so a replica that missed a delta marks itself
   *unready* and refuses reads rather than serving stale,
-  bitwise-divergent answers.
+  bitwise-divergent answers;
+* runs each router message at the replica set's query **horizon**
+  (``OP_AT_HORIZON``): every read moves a monotonic history index, but
+  each replica sees only its share of the reads, so the router pins
+  the replica to the furthest time any of them reached before it
+  answers, and a read back in time is refused as a serial engine
+  refuses it.
 
 Two transports share one worker implementation: :class:`ForkedReplica`
 runs the loop in a forked child over an ``mp.Pipe`` (fork keeps the
@@ -143,6 +149,21 @@ class ReplicaWorker:
             self._stale = True
         return response
 
+    @property
+    def horizon(self) -> int:
+        """The replica engine's query horizon (its history index's)."""
+        return self._engine.history.index.horizon
+
+    def pin(self, horizon: int) -> None:
+        """Move the query horizon up to ``horizon`` (never back).
+
+        Each replica sees only its share of the reads, so the router
+        carries the set's horizon to every message: pinned first, a
+        replica refuses exactly the reads a serial engine would.
+        """
+        if int(horizon) > self.horizon:
+            self._engine.history_index_at(int(horizon))
+
     def telemetry(self) -> Dict[str, Any]:
         """The engine's raw telemetry accumulators (for router merging)."""
         return {"ok": True, "replica": self.replica_id,
@@ -181,8 +202,15 @@ def dispatch(worker: ReplicaWorker, message: Dict[str, Any]
     The single demultiplexer both transports share: the forked child's
     pipe loop and the in-process :class:`LocalReplica` call the same
     function, so the two transports cannot drift behaviourally.
+    ``OP_AT_HORIZON`` wraps another message: the replica pins its
+    horizon, answers the inner message and reports where its horizon
+    ended up.
     """
     op = message.get("op")
+    if op == protocol.OP_AT_HORIZON:
+        worker.pin(message["horizon"])
+        response = dispatch(worker, message["message"])
+        return {"response": response, "horizon": worker.horizon}
     if op == protocol.OP_APPLY:
         return worker.apply_delta(message.get("request") or {},
                                   expect=message.get("expect"))

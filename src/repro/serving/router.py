@@ -29,7 +29,12 @@ Consistency contract
   — and, when calibration is enabled, an identical calibration window,
   because calibration only mutates on the ``advance`` write path that
   fans out to every replica — so responses are bitwise-identical to a
-  single engine's, whichever replica answers.  A ``forecast`` response
+  single engine's, whichever replica answers.  The router keeps the
+  set's one query horizon — the furthest time any replica's history
+  index reached — and runs every read and apply at it
+  (``OP_AT_HORIZON``), so a read back in time is refused on whichever
+  replica it lands, with the serial engine's error, after the same
+  parse checks.  A ``forecast`` response
   carries the watermark it was computed at, so a client can tell a
   pre-advance forecast from a post-advance one.
 * **Writes** (``advance``) take the exclusive side of a reader/writer
@@ -145,6 +150,7 @@ class ReplicaSetRouter(JSONLServer):
         history = engine.history
         self._deltas = history.delta_since(history.base_watermark)
         self._watermark = history.watermark
+        self._horizon = history.index.horizon
         # Freshness baseline for /stats watermark age: starts at
         # construction so a router that never advanced reports age
         # since it came up, not a null.
@@ -204,6 +210,23 @@ class ReplicaSetRouter(JSONLServer):
                 f"replica {index} failed: {exc}", message
                 if message.get("op") in protocol.VALID_OPS else None)
 
+    async def _ask_at_horizon(self, index: int, message: Dict[str, Any]
+                              ) -> Dict[str, Any]:
+        """:meth:`_ask` with the replica pinned at the set's horizon.
+
+        The replica reports where its horizon ended up, and the router
+        keeps the furthest one.
+        """
+        reply = await self._ask(index, {"op": protocol.OP_AT_HORIZON,
+                                        "horizon": self._horizon,
+                                        "message": message})
+        if "response" not in reply:
+            return protocol.error_response(
+                reply["error"], message
+                if message.get("op") in protocol.VALID_OPS else None)
+        self._horizon = max(self._horizon, reply["horizon"])
+        return reply["response"]
+
     def _next_ready(self) -> Optional[int]:
         """Round-robin index of the next ready replica (None if none)."""
         n = len(self._replicas)
@@ -241,7 +264,7 @@ class ReplicaSetRouter(JSONLServer):
                 return protocol.error_response(
                     "no ready replicas (set degraded past quorum)", request)
             with self.stats.span("router/read", nested=False):
-                return await self._ask(index, request)
+                return await self._ask_at_horizon(index, request)
         finally:
             await self._rw.release_read()
 
@@ -251,8 +274,8 @@ class ReplicaSetRouter(JSONLServer):
         try:
             with self.stats.span("router/advance", nested=False):
                 results = await asyncio.gather(*[
-                    self._ask(i, {"op": protocol.OP_APPLY,
-                                  "request": request})
+                    self._ask_at_horizon(i, {"op": protocol.OP_APPLY,
+                                             "request": request})
                     for i in range(len(self._replicas))])
             self.stats.incr("advance_fanouts")
             acked = [bool(r.get("ok")) for r in results]

@@ -128,16 +128,23 @@ class TestBadFlags:
         assert code == 2
         assert "--fuse-queries" in err
 
+    @pytest.mark.parametrize("flag", [["--batch-window-ms", "2"],
+                                      ["--batch-pending", "16"]],
+                             ids=lambda flag: flag[0])
+    def test_coalescing_flags_are_gone(self, flag):
+        # The daemon runs each request as its own engine job; no window.
+        code, _, err = _run(["serve"] + MINIMAL_ARGS["serve"]
+                            + ["--listen", "127.0.0.1:0"] + flag)
+        assert code == 2
+        assert flag[0] in err
+
     def test_serve_daemon_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--model", "logcl", "--dataset", "tiny",
              "--checkpoint", "x.npz", "--listen", "127.0.0.1:0",
-             "--max-queue", "32", "--batch-window-ms", "1.5",
-             "--batch-pending", "8", "--snapshot", "state.npz"])
+             "--max-queue", "32", "--snapshot", "state.npz"])
         assert args.listen == "127.0.0.1:0"
         assert args.max_queue == 32
-        assert args.batch_window_ms == 1.5
-        assert args.batch_pending == 8
         assert args.snapshot == "state.npz"
 
     def test_serve_defaults_to_stdin_loop(self):

@@ -14,6 +14,7 @@ The three acceptance-grade properties:
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -78,8 +79,8 @@ def daemon_pair(dataset):
     """A served engine plus an identical serial engine for parity."""
     served = _engine(dataset, seed=0)
     serial = _engine(dataset, seed=0)
-    handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
-        max_queue=256, batch_max_pending=8, batch_window_ms=5.0)))
+    handle = serve_in_thread(ServingDaemon(served,
+                                           DaemonConfig(max_queue=256)))
     yield handle, serial
     handle.stop()
 
@@ -89,10 +90,9 @@ class TestConcurrentParity:
         """8 concurrent clients == the serial engine, response-for-response.
 
         Each client sends a differently composed query batch; the daemon
-        coalesces them into shared flushes but serves each request as
-        its own forward, so every response must equal (including every
-        probability digit) what `protocol.handle_request` produces on an
-        identical serial engine.
+        serves each request as its own forward, so every response must
+        equal (including every probability digit) what
+        `protocol.handle_request` produces on an identical serial engine.
         """
         handle, serial = daemon_pair
         t = serial.next_time
@@ -151,13 +151,10 @@ class TestConcurrentParity:
         assert responses == expected
 
     def test_score_parity_bitwise_and_grouped(self, dataset):
-        """Concurrent score requests coalesce yet match the serial engine.
+        """Concurrent score requests match the serial engine.
 
-        Score groups are homogeneous coalesced groups: each fact batch
-        keeps its own forward, so a calibrated daemon's responses must
-        equal the serial engine's digit-for-digit while the stats show
-        the executor trips were amortized (``score_groups`` <= requests
-        under a wide-open coalescing window).
+        Each fact batch keeps its own forward, so a calibrated daemon's
+        responses must equal the serial engine's digit-for-digit.
         """
         from repro.serving import CalibrationConfig
 
@@ -169,8 +166,8 @@ class TestConcurrentParity:
             return engine
 
         served, serial = calibrated(), calibrated()
-        handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
-            max_queue=256, batch_max_pending=64, batch_window_ms=50.0)))
+        handle = serve_in_thread(ServingDaemon(served,
+                                               DaemonConfig(max_queue=256)))
         try:
             t = serial.next_time
             facts = dataset.valid.array
@@ -197,131 +194,18 @@ class TestConcurrentParity:
             for thread in threads:
                 thread.join(60)
             assert responses == expected
-            stats = Client(handle.address)
-            payload = stats.request({"op": "stats"})
-            stats.close()
-            counters = payload["stats"]["counters"]
-            assert 1 <= counters["score_groups"] <= len(requests)
         finally:
             handle.stop()
 
 
 class TestCoalescing:
-    """A coalesced group is one executor trip; each request stays its own."""
-
-    def test_group_is_one_trip_with_a_forward_per_request(self, dataset):
-        """Pipelined predicts fill one group at the size trigger.
-
-        Four 2-query requests reach ``batch_max_pending=8`` exactly, so
-        the group closes on size long before the 10 s window.  Each
-        request is still its own forward (one score-cache miss each)
-        and answers exactly as the serial engine does.
-        """
-        served, serial = _engine(dataset), _engine(dataset)
-        handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
-            batch_max_pending=8, batch_window_ms=10_000.0)))
-        try:
-            t = int(serial.next_time)
-            facts = dataset.valid.array
-            requests = [{"op": "predict", "id": i, "time": t, "topk": 5,
-                         "queries": facts[2 * i:2 * i + 2, :2].tolist()}
-                        for i in range(4)]
-            expected = {r["id"]: protocol.handle_request(serial, r)
-                        for r in requests}
-            client = Client(handle.address)
-            client.send(*requests)
-            responses = [client.recv() for _ in requests]
-            stats = client.request({"op": "stats"})["stats"]
-            client.close()
-            assert {r["id"]: r for r in responses} == expected
-            assert stats["counters"]["predict_groups"] == 1
-            assert stats["scalars"]["predict_group_size"]["max"] == 4.0
-            assert stats["counters"]["score_cache_misses"] == len(requests)
-        finally:
-            handle.stop()
-
-    def test_size_trigger_closes_group_before_window(self, dataset):
-        """Reaching ``batch_max_pending`` queries runs the group at once.
-
-        Two pipelined 4-query requests fill an 8-query group; the answers
-        come back long before the 10 s window would have closed it.
-        """
-        handle = serve_in_thread(ServingDaemon(_engine(dataset), DaemonConfig(
-            batch_max_pending=8, batch_window_ms=10_000.0)))
-        try:
-            facts = dataset.valid.array
-            requests = [{"op": "predict", "id": i,
-                         "queries": facts[4 * i:4 * i + 4, :2].tolist()}
-                        for i in range(2)]
-            client = Client(handle.address)
-            started = time.monotonic()
-            client.send(*requests)
-            responses = [client.recv() for _ in requests]
-            waited = time.monotonic() - started
-            stats = client.request({"op": "stats"})["stats"]
-            client.close()
-            assert all(r["ok"] for r in responses)
-            assert waited < 5.0
-            assert stats["counters"]["predict_groups"] == 1
-            assert stats["scalars"]["predict_group_size"]["max"] == 2.0
-        finally:
-            handle.stop()
-
-    def test_window_runs_from_the_first_pending_request(self, dataset):
-        """A late joiner shares the first request's deadline, not its own.
-
-        The second request arrives partway through the window and joins
-        the group, so its queue wait is shorter than the first one's by
-        about the gap between them; the first waits out the window.
-        """
-        handle = serve_in_thread(ServingDaemon(_engine(dataset), DaemonConfig(
-            batch_max_pending=64, batch_window_ms=600.0)))
-        try:
-            first, second = Client(handle.address), Client(handle.address)
-            first.send({"op": "predict", "id": 0, "queries": [[0, 0]]})
-            time.sleep(0.3)
-            second.send({"op": "predict", "id": 1, "queries": [[1, 0]]})
-            assert first.recv()["ok"] and second.recv()["ok"]
-            stats = first.request({"op": "stats"})["stats"]
-            first.close()
-            second.close()
-            # Three waits: the two predicts and the stats request itself
-            # (near zero), so the median sample is the late joiner's.
-            waits = stats["scalars"]["queue_wait_ms"]
-            assert stats["counters"]["predict_groups"] == 1
-            assert stats["scalars"]["predict_group_size"]["max"] == 2.0
-            assert waits["count"] == 3
-            assert waits["max"] >= 550.0
-            assert waits["max"] - waits["p50"] >= 150.0
-        finally:
-            handle.stop()
-
-    def test_window_closes_a_lone_request_group(self, dataset):
-        """Below the size trigger a group waits out the window, no longer.
-
-        The lone request's queue wait covers the window, which is what
-        ``queue_wait_ms`` reports.
-        """
-        handle = serve_in_thread(ServingDaemon(_engine(dataset), DaemonConfig(
-            batch_max_pending=64, batch_window_ms=300.0)))
-        try:
-            client = Client(handle.address)
-            started = time.monotonic()
-            response = client.request({"op": "predict", "queries": [[0, 0]]})
-            waited = time.monotonic() - started
-            stats = client.request({"op": "stats"})["stats"]
-            client.close()
-            assert response["ok"]
-            assert 0.25 <= waited < 30.0
-            assert stats["scalars"]["queue_wait_ms"]["max"] >= 250.0
-        finally:
-            handle.stop()
+    """Pipelined requests are served one engine job each, in order."""
 
     def test_failing_request_errors_alone(self, dataset):
-        """An engine fault mid-group answers that request with an error.
+        """An engine fault answers that request alone with an error.
 
-        The requests before and after it in the same group are served
-        normally: nothing is dropped and nothing else fails.
+        The pipelined requests before and after it are served normally:
+        nothing is dropped and nothing else fails.
         """
         served, serial = _engine(dataset), _engine(dataset)
         real_predict = served.predict
@@ -334,8 +218,7 @@ class TestCoalescing:
             return real_predict(*args, **kwargs)
 
         served.predict = flaky_predict
-        handle = serve_in_thread(ServingDaemon(served, DaemonConfig(
-            batch_max_pending=3, batch_window_ms=10_000.0)))
+        handle = serve_in_thread(ServingDaemon(served, DaemonConfig()))
         try:
             t = int(serial.next_time)
             requests = [{"op": "predict", "id": i, "time": t, "topk": 3,
@@ -344,15 +227,12 @@ class TestCoalescing:
             client.send(*requests)
             responses = {r["id"]: r for r in
                          (client.recv() for _ in requests)}
-            groups = client.request({"op": "stats"})["stats"]["counters"][
-                "predict_groups"]
             client.close()
             assert responses[1]["ok"] is False
             assert "injected engine fault" in responses[1]["error"]
             for i in (0, 2):
                 assert responses[i] == protocol.handle_request(serial,
                                                                requests[i])
-            assert groups == 1
         finally:
             handle.stop()
 
@@ -368,8 +248,8 @@ class TestBackpressure:
             return real_predict(*args, **kwargs)
 
         engine.predict = slow_predict
-        handle = serve_in_thread(ServingDaemon(engine, DaemonConfig(
-            max_queue=2, batch_max_pending=1, batch_window_ms=0.0)))
+        handle = serve_in_thread(ServingDaemon(engine,
+                                               DaemonConfig(max_queue=2)))
         try:
             client = Client(handle.address)
             total = 30
@@ -517,7 +397,6 @@ class TestProtocolOverTheWire:
             client.close()
             assert stats["counters"]["requests_total"] >= 3
             assert stats["counters"]["daemon_connections"] >= 1
-            assert stats["counters"]["predict_groups"] >= 1
             assert "daemon/predict" in stats["stages"]
             # The span around an op closes after its payload renders, so
             # the *second* stats request sees the first one's span.
@@ -556,6 +435,46 @@ class TestQueueDepthSampling:
             assert depth["last"] == 0.0
             assert depth["max"] >= 1.0
         finally:
+            handle.stop()
+
+
+    def test_depth_returns_to_zero_under_concurrent_clients(self, dataset):
+        """Admission and job start count on two threads; none is lost.
+
+        Four clients pipeline cheap requests while the interpreter
+        switches threads as often as it can.  Every request is sampled
+        once at admission and once at start, and a final request, sent
+        after every other is answered, must see the depth back at 0.
+        """
+        handle = serve_in_thread(ServingDaemon(_engine(dataset, seed=0),
+                                               DaemonConfig(max_queue=1000)))
+        clients, per_client = 4, 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run():
+                client = Client(handle.address)
+                try:
+                    client.send(*[{"op": "nonsense"}] * per_client)
+                    for _ in range(per_client):
+                        client.recv()
+                finally:
+                    client.close()
+
+            threads = [threading.Thread(target=run) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            client = Client(handle.address)
+            depth = client.request({"op": "stats"})["stats"]["scalars"][
+                "queue_depth"]
+            client.close()
+            assert depth["count"] == 2 * (clients * per_client + 1)
+            assert depth["last"] == 0.0
+        finally:
+            sys.setswitchinterval(interval)
             handle.stop()
 
 

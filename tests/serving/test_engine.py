@@ -112,7 +112,7 @@ class TestColdParity:
         assert engine.stats.counters["score_cache_hits"] == 1
 
     def test_fallback_model_served_through_predict_on(self, dataset):
-        """Models without incremental contexts run via ServingBatch."""
+        """Models without incremental contexts run via TimestepBatch."""
         model = build_model("regcn", dataset, dim=16).eval()
         engine = _fresh_engine(model, dataset)
         assert not engine._supports_context

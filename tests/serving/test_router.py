@@ -176,6 +176,63 @@ class TestBitwiseDaemonParity:
             router.stop()
 
 
+# Reads at ``t`` to send after a predict at ``t + 1``, and whether a
+# serial engine refuses them for going back in time: it refuses each
+# valid read, and answers each malformed one with its parse error,
+# which comes first.
+BACK_IN_TIME = {
+    "predict": (True, lambda t: {"op": "predict", "queries": [[1, 1]],
+                                 "time": t}),
+    "rank": (True, lambda t: {"op": "rank", "queries": [[1, 1, 2]],
+                              "time": t}),
+    "score": (True, lambda t: {"op": "score", "facts": [[1, 1, 2]],
+                               "time": t}),
+    "forecast": (True, lambda t: {"op": "forecast", "queries": [[1, 1]],
+                                  "horizon": 2}),
+    "bad-predict": (False, lambda t: {"op": "predict", "queries": [[1, 1]],
+                                      "time": t, "topk": "x"}),
+    "bad-rank": (False, lambda t: {"op": "rank", "queries": [[1, 1]],
+                                   "time": t}),
+    "bad-score": (False, lambda t: {"op": "score",
+                                    "facts": [[1, 1, 2, t],
+                                              [1, 1, 2, t + 1]]}),
+    "bad-forecast": (False, lambda t: {"op": "forecast",
+                                       "queries": [[1, 1]], "horizon": 0}),
+}
+
+
+class TestOneQueryHorizon:
+    """The replica set keeps one query horizon, as a serial engine does."""
+
+    @pytest.mark.parametrize("name", list(BACK_IN_TIME))
+    def test_read_back_in_time_matches_serial(self, name, dataset,
+                                              store_path):
+        """The read lands on the replica that never saw ``t + 1``.
+
+        The router still answers it byte for byte as the serial engine
+        does: the refusal for a valid read, the parse error for a
+        malformed one.
+        """
+        served = _engine(dataset, store_path)
+        serial = _engine(dataset, store_path)
+        t = int(serial.next_time)
+        refused, build = BACK_IN_TIME[name]
+        trace = [{"op": "predict", "queries": [[0, 0]], "time": t + 1,
+                  "id": "ahead"}, dict(build(t), id=name)]
+        router = serve_in_thread(ReplicaSetRouter(served, RouterConfig(
+            replicas=2, prefer_fork=False)))
+        try:
+            client = Client(router.address)
+            got = [client.request(request) for request in trace]
+            client.close()
+        finally:
+            router.stop()
+        expected = [_serial_response(serial, request) for request in trace]
+        assert got == expected
+        assert expected[0]["ok"] and expected[1]["ok"] is False
+        assert ("monotonically" in expected[1]["error"]) == refused
+
+
 class TestSingleReplicaSmoke:
     """The fast path `make test-fast` relies on: one replica, full surface."""
 
@@ -252,6 +309,31 @@ class TestConsistency:
                                     "time": int(t) + 1})
             assert after["ok"]
             client.close()
+        finally:
+            router.stop()
+
+    def test_replica_failure_answers_the_read(self, dataset, store_path):
+        """A replica that fails mid-read yields the read's own error.
+
+        The error names the request's op and echoes its id, the replica
+        drops from rotation, and the next read is served by the other.
+        """
+        router = serve_in_thread(ReplicaSetRouter(
+            _engine(dataset, store_path),
+            RouterConfig(replicas=2, prefer_fork=False)))
+        try:
+            def broken(message):
+                raise OSError("pipe closed")
+
+            router.server._replicas[0].request = broken
+            client = Client(router.address)
+            read = {"op": "rank", "queries": [[0, 0, 1]]}
+            failed = client.request(dict(read, id="first"))
+            served = client.request(dict(read, id="second"))
+            client.close()
+            assert failed == {"ok": False, "op": "rank", "id": "first",
+                              "error": "replica 0 failed: pipe closed"}
+            assert served["ok"] and served["id"] == "second"
         finally:
             router.stop()
 

