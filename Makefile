@@ -4,6 +4,7 @@
 	serve-daemon-bench serve-replica-bench eval-bench history-bench \
 	train-telemetry-bench data-bench \
 	anomaly-bench perf-record perf-compare profile-train profile-eval \
+	profile-serve \
 	trace-demo experiments clean-cache docs-test lint lint-private \
 	lint-docstrings \
 	lint-dtype docs-linkcheck
@@ -62,6 +63,9 @@ profile-train:  ## cProfile of $(EPOCHS) warm LogCL epochs (icews14_like, dim 32
 
 profile-eval:  ## $(PASSES) cold eval-gdelt-shape passes: median ms and page faults per pass, per-stage split, top functions by self time
 	PYTHONPATH=src python tools/profile_eval.py --passes $(PASSES)
+
+profile-serve:  ## in-process serve-stream replay: median ms per op, VmHWM and heap after each advance, top retained allocation sites
+	PYTHONPATH=src python tools/profile_serve.py
 
 docs-test:  ## executable docs: every fenced python block + every example script
 	PYTHONPATH=src python tools/run_doc_snippets.py

@@ -16,7 +16,24 @@ into an ingest-then-answer service:
   memoized per query batch — both in the shared, bounded
   :class:`repro.history.ContextCache` (the same cache class the training
   :class:`repro.training.context.HistoryContext` uses) — and full score
-  matrices per repeated batch in a local LRU memo.
+  matrices per repeated batch in a local LRU memo;
+* :meth:`InferenceEngine.batch_scores` hands the same forward's scores
+  over in the form the ranking kernel takes
+  (:class:`repro.interface.ScoreFactors` for LogCL), without the memo:
+  the ``score`` op and write-path calibration form probabilities and
+  ranks from it one row block at a time, so no ``(Q, |E|)`` matrix
+  exists for them.
+
+Memory model: the score memo holds entries of the current watermark
+only — every watermark move (:meth:`InferenceEngine.advance`,
+:meth:`InferenceEngine.use_store_file`,
+:meth:`InferenceEngine.restore_state`) empties it, since no query can
+reach an older watermark again.  So an ``advance``, calibrated or not,
+leaves no score matrix behind.  What a long-running engine keeps
+besides the ingested facts is capped in entries by the cache
+capacities: ``score_cache_size`` matrices of the current watermark,
+``context_cache_size`` encoder contexts and the subgraph LRU's merged
+subgraphs (which counts entries, not bytes).
 
 Predictions are numerically identical to the cold batch path
 (``model.predict_on`` over a fresh :class:`HistoryContext`): the engine
@@ -177,9 +194,10 @@ class InferenceEngine:
         Local window length ``m`` — must match the value the model was
         trained/evaluated with for prediction parity.
     score_cache_size:
-        LRU capacity of the full-score memo (0 disables it).  The memo is
-        also disabled automatically while the model has input noise
-        enabled, since scores are then stochastic.
+        LRU capacity of the full-score memo (0 disables it).  Entries
+        live for one watermark.  The memo is also disabled automatically
+        while the model has input noise enabled, since scores are then
+        stochastic.
 
     Time contract
     -------------
@@ -352,9 +370,11 @@ class InferenceEngine:
         replayable as (backing path + delta facts).
 
         The time-aware filter (``filtered`` predictions need it) takes
-        the mapped columns as they are: no copy and no sort, only an
-        O(n) id and time-order check.  Each timestamp's block is sorted
-        when a query first reaches it (see :mod:`repro.tkg.filtering`).
+        the mapped columns as they are, with the file's ``snap_times``
+        and ``offsets`` as its per-time row ranges: no copy, no sort and
+        no page of the ``t`` column read.  Each timestamp's block is
+        sorted when a query first reaches it (see
+        :mod:`repro.tkg.filtering`).
         Returns the number of augmented facts mapped.
         """
         # Lazy import: repro.serving must not require repro.data unless
@@ -369,8 +389,9 @@ class InferenceEngine:
         info, arrays = map_columns(path)
         self._delta = DeltaState(
             history=store, last_time=store.last_time,
-            filter=TimeAwareFilter([tuple(arrays[name]
-                                          for name in ("s", "r", "o", "t"))]))
+            filter=TimeAwareFilter.from_time_runs(
+                arrays["s"], arrays["r"], arrays["o"],
+                arrays["snap_times"], arrays["offsets"]))
         self.cache.clear()
         self._score_cache.clear()
         self._read_state = replace(self._read_state,
@@ -413,12 +434,13 @@ class InferenceEngine:
                 self._calibration.ingest(self, arr, time)
             augmented = self.history.extend(arr, time)
             self.filter.add_facts(augmented)
-            # Anything cached for a query time beyond the new snapshot now
-            # has a stale history; times at or before it are unaffected.
-            # (Score keys are watermark-prefixed, so stale entries could
-            # never be *served* again — this eviction just frees them.)
+            # Encoder contexts and subgraphs for a query time beyond the
+            # new snapshot now have a stale history; times at or before
+            # it are unaffected.  Every score memo entry was computed at
+            # the old watermark, which no query can reach again, so the
+            # memo is emptied rather than left holding dead matrices.
             self.cache.invalidate_after(time)
-            self._score_cache.evict_if(lambda key: key[1] > time)
+            self._score_cache.clear()
             self.last_time = time
             self.stats.incr("facts_ingested", len(arr))
             self.stats.incr("snapshots_ingested")
@@ -500,16 +522,29 @@ class InferenceEngine:
         anchor = self.next_time
         return self._scores(subjects, relations, anchor + steps - 1, anchor)
 
-    def _scores(self, subjects: np.ndarray, relations: np.ndarray,
-                target: int, anchor: int) -> np.ndarray:
-        """Scores at ``target`` over the history index at ``anchor``.
+    def batch_scores(self, subjects: np.ndarray, relations: np.ndarray,
+                     time: Optional[int] = None):
+        """One batch's scores in the form the ranking kernel takes.
 
-        :meth:`predict` is the ``anchor == target`` case.  The memo is
-        keyed at the *target* time: an anchored subgraph is
-        content-identical to the target-time one (no facts in between),
-        so horizon entries agree with genuine predicts at the target
-        and horizons never collide with each other.
+        :class:`repro.interface.ScoreFactors` for models with the
+        incremental-context protocol, ``predict_on``'s ``(Q, |E|)``
+        matrix otherwise (the split of
+        :func:`repro.eval.protocol.batch_scores`), from the same forward
+        as :meth:`predict`.  Never reads or writes the score memo, so a
+        caller that forms the product one row block at a time
+        (:func:`repro.serving.ops.score_facts`) never holds the whole
+        matrix.  ``time`` defaults to :attr:`next_time`.
         """
+        query_time = self.next_time if time is None else int(time)
+        subjects, relations = self._queries(subjects, relations, query_time)
+        self.stats.incr("queries_served", len(subjects))
+        return self._forward(subjects, relations, query_time, query_time,
+                             factored=True)
+
+    def _queries(self, subjects: np.ndarray, relations: np.ndarray,
+                 anchor: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Aligned int64 query arrays; raises when ``anchor`` is behind
+        the history index's horizon."""
         subjects = np.ascontiguousarray(subjects, dtype=np.int64)
         relations = np.ascontiguousarray(relations, dtype=np.int64)
         if subjects.shape != relations.shape or subjects.ndim != 1:
@@ -519,16 +554,50 @@ class InferenceEngine:
                 f"queries must advance monotonically in time: the index is "
                 f"already at t={self.history.index.horizon}, "
                 f"asked {anchor}")
+        return subjects, relations
 
+    def _forward(self, subjects: np.ndarray, relations: np.ndarray,
+                 target: int, anchor: int, factored: bool = False):
+        """The one forward of every read: scores at ``target`` over the
+        history index at ``anchor``.  A ``(Q, |E|)`` matrix, or with
+        ``factored`` what :meth:`batch_scores` returns."""
+        if self._supports_context:
+            context = self._context(target)
+            edges = self.global_edges(anchor, subjects, relations)
+            with self.stats.span("forward", nested=False):
+                with no_grad():
+                    encoded = self.model.encode_queries(context, subjects,
+                                                        relations, edges)
+                    scores = self.model.score_queries(
+                        encoded, subjects, relations, factored=factored)
+            return scores if factored else scores.data
+        history = self if anchor == target else _HorizonView(self, anchor)
+        batch = TimestepBatch(time=target, subjects=subjects,
+                              relations=relations, objects=None,
+                              phase="serving", context=history)
+        with self.stats.span("forward", nested=False):
+            return self.model.predict_on(batch)
+
+    def _scores(self, subjects: np.ndarray, relations: np.ndarray,
+                target: int, anchor: int) -> np.ndarray:
+        """Scores at ``target`` over the history index at ``anchor``.
+
+        :meth:`predict` is the ``anchor == target`` case.  The memo is
+        keyed at the *target* time: an anchored subgraph is
+        content-identical to the target-time one (no facts in between),
+        so horizon entries agree with genuine predicts at the target
+        and horizons never collide with each other.  It holds entries
+        of the current watermark only: every watermark move empties it.
+        """
+        subjects, relations = self._queries(subjects, relations, anchor)
         memo_enabled = (self._score_cache.capacity > 0
                         and getattr(self.model, "input_noise_std", 0.0) <= 0.0)
         # subgraph_key folds dtype+length into the key (repro.history
         # .array_key) — the queries above are normalized to int64, but
         # keying through the shared helper keeps every content-addressed
         # cache in the repo collision-safe by construction.  The store
-        # watermark prefixes the key, so an entry cached before an
-        # advance can never answer a post-advance query: cache validity
-        # is structural, not dependent on the eviction sweep.
+        # watermark prefixes the key, so an entry can only ever answer
+        # a query at the watermark it was computed at.
         key = (self.watermark,) + subgraph_key(target, subjects, relations)
         if memo_enabled:
             cached = self._score_cache.get(key)
@@ -538,23 +607,7 @@ class InferenceEngine:
                 return cached.copy()
         self.stats.incr("score_cache_misses")
 
-        if self._supports_context:
-            context = self._context(target)
-            edges = self.global_edges(anchor, subjects, relations)
-            with self.stats.span("forward", nested=False):
-                with no_grad():
-                    encoded = self.model.encode_queries(context, subjects,
-                                                        relations, edges)
-                    scores = self.model.score_queries(encoded, subjects,
-                                                      relations).data
-        else:
-            history = self if anchor == target else _HorizonView(self, anchor)
-            batch = TimestepBatch(time=target, subjects=subjects,
-                                  relations=relations, objects=None,
-                                  phase="serving", context=history)
-            with self.stats.span("forward", nested=False):
-                scores = self.model.predict_on(batch)
-
+        scores = self._forward(subjects, relations, target, anchor)
         if memo_enabled:
             self._score_cache.put(key, scores)
         self.stats.incr("queries_served", len(subjects))

@@ -43,6 +43,8 @@ import numpy as np
 
 from ..analysis.patterns import attribute_completions, evidence_label
 from ..eval.metrics import ranks_of_targets
+from ..interface import ScoreFactors
+from ..nn.ops import tile_bounds
 from ..obs.drift import DriftMonitor
 
 
@@ -225,11 +227,13 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
                 ) -> FactScores:
     """Model likelihoods of observed facts at one timestamp (pure read).
 
-    One batched :meth:`InferenceEngine.predict` forward scores the
-    ``(subject, relation)`` queries (the fact batch is the forward
+    One batched forward (:meth:`InferenceEngine.batch_scores`) scores
+    the ``(subject, relation)`` queries (the fact batch is the forward
     batch), then each observed object's softmax probability and
-    mean-tie rank are read off the score matrix.  Evidence labels are
-    the ``forecast`` op's provenance labels
+    mean-tie rank are read off the scores one
+    :func:`repro.nn.ops.tile_bounds` row block at a time: the score memo
+    is never touched and no ``(Q, |E|)`` matrix exists.  Evidence labels
+    are the ``forecast`` op's provenance labels
     (:func:`repro.analysis.patterns.attribute_completions`), joined for
     every fact in one pass over the window snapshots.
     """
@@ -245,9 +249,8 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
         raise ValueError(f"objects must be entity ids in "
                          f"[0, {engine.num_entities})")
     query_time = engine.next_time if time is None else int(time)
-    scores = engine.predict(subjects, relations, time=query_time)
-    fact_probs = _fact_softmax(scores, objects)
-    ranks = ranks_of_targets(scores, objects)
+    scores = engine.batch_scores(subjects, relations, time=query_time)
+    fact_probs, ranks = _fact_probs_and_ranks(scores, objects)
     snapshots = engine.window_before(query_time)
     global_counts = engine.history_index_at(query_time).fact_counts(
         subjects, relations, objects)
@@ -266,6 +269,31 @@ def score_facts(engine, subjects: np.ndarray, relations: np.ndarray,
         local = window[fact]
         evidence.append(evidence_label(local, max(total, local)))
     return FactScores(prob=fact_probs, rank=ranks, evidence=evidence)
+
+
+def _fact_probs_and_ranks(scores, objects: np.ndarray):
+    """Each fact's softmax probability and mean-tie rank, one row block
+    at a time.
+
+    ``scores`` is a ``(Q, |E|)`` matrix or
+    :class:`repro.interface.ScoreFactors`; blocks are cut by
+    :func:`repro.nn.ops.tile_bounds`, as the ranking kernel cuts them,
+    so a factored block is bitwise the same rows of the whole product.
+    Both reductions are per row, so the results are bitwise those of
+    one pass over the whole matrix.
+    """
+    factored = isinstance(scores, ScoreFactors)
+    num_q, num_e = scores.shape
+    probs = np.empty(num_q, dtype=np.float64)
+    ranks = np.empty(num_q, dtype=np.float64)
+    bounds = tile_bounds(num_q, num_e * np.dtype(scores.dtype).itemsize)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = scores.rows(start, stop) if factored else scores[start:stop]
+        probs[start:stop] = _fact_softmax(block, objects[start:stop])
+        ranks[start:stop] = ranks_of_targets(block, objects[start:stop],
+                                             row_offset=start)
+        del block                # one block alive at a time
+    return probs, ranks
 
 
 # float64 elements per row block of :func:`_fact_softmax` (1 MiB).

@@ -18,7 +18,10 @@ about (:class:`_FactBlocks`).  No python object exists per fact:
   ``.hst`` store's) is kept as views of its columns, with the
   int32 id-range check and a check that its time column is sorted
   (``QuadrupleSet`` order and the store's sections are), which also
-  yields the row range of every timestamp.  With ``inverse_relations``
+  yields the row range of every timestamp.  A source whose row ranges
+  are already known (a store's ``snap_times`` and ``offsets``,
+  :meth:`TimeAwareFilter.from_time_runs`) skips that scan and reads
+  no time column at all.  With ``inverse_relations``
   set, every
   fact also files its inverse ``(o, r + inverse_relations, s)``, so the
   raw splits stand in for their inverse-augmented copy;
@@ -146,29 +149,32 @@ def _check_ids(columns: Sequence[np.ndarray]) -> None:
 
 class _Source:
     """One time-ordered fact source: column views plus the row range
-    ``[offsets[i], offsets[i + 1])`` of each distinct time ``times[i]``.
-    ``t=None`` files every row under one time, 0 (the static filter)."""
+    ``[offsets[i], offsets[i + 1])`` of each distinct time ``times[i]``."""
 
     def __init__(self, s: np.ndarray, r: np.ndarray, o: np.ndarray,
-                 t: Optional[np.ndarray]):
-        n = len(s)
-        if t is None:
-            self.times = np.zeros(1, dtype=np.int64)
-            self.offsets = np.array([0, n], dtype=np.int64)
-        else:
-            if n > 1 and not bool(np.all(t[1:] >= t[:-1])):
-                raise ValueError("filter fact columns must be sorted by "
-                                 "time")
-            starts = np.flatnonzero(t[1:] != t[:-1]) + 1
-            self.times = t[np.concatenate(([0], starts))].astype(np.int64)
-            self.offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
+                 times: np.ndarray, offsets: np.ndarray):
         self.s, self.r, self.o = s, r, o
+        self.times, self.offsets = times, offsets
 
     def rows_at(self, time: int) -> Optional[slice]:
         i = int(self.times.searchsorted(time))
         if i == len(self.times) or self.times[i] != time:
             return None
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        start, stop = int(self.offsets[i]), int(self.offsets[i + 1])
+        return slice(start, stop) if stop > start else None
+
+
+def _time_runs(t: Optional[np.ndarray], n: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(times, offsets)`` of a sorted time column's runs; ``t=None``
+    files all ``n`` rows under one time, 0 (the static filter)."""
+    if t is None:
+        return np.zeros(1, dtype=np.int64), np.array([0, n], dtype=np.int64)
+    if n > 1 and not bool(np.all(t[1:] >= t[:-1])):
+        raise ValueError("filter fact columns must be sorted by time")
+    starts = np.flatnonzero(t[1:] != t[:-1]) + 1
+    return (t[np.concatenate(([0], starts))].astype(np.int64),
+            np.concatenate(([0], starts, [n])).astype(np.int64))
 
 
 class _FactBlocks:
@@ -189,10 +195,31 @@ class _FactBlocks:
                 raise ValueError("fact columns must have equal lengths")
             if len(s):
                 self._check(s, r, o)
-                self._sources.append(_Source(s, r, o, t if by_time else None))
+                self._sources.append(_Source(
+                    s, r, o, *_time_runs(t if by_time else None, len(s))))
         # Rows from add_facts, filed per time as (k, 3) arrays.
         self._added: Dict[int, List[np.ndarray]] = {}
         self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def adopt_runs(self, s: np.ndarray, r: np.ndarray, o: np.ndarray,
+                   times: np.ndarray, offsets: np.ndarray) -> None:
+        """Add one source whose row range of each time is given (see
+        :meth:`TimeAwareFilter.from_time_runs`)."""
+        s, r, o = (np.asarray(col) for col in (s, r, o))
+        times = np.asarray(times).astype(np.int64)
+        offsets = np.asarray(offsets).astype(np.int64)
+        n = len(s)
+        if not (len(r) == len(o) == n) or len(offsets) != len(times) + 1:
+            raise ValueError("fact columns must have equal lengths and "
+                             "one more offset than times")
+        if (offsets[0] != 0 or offsets[-1] != n
+                or not bool(np.all(offsets[1:] >= offsets[:-1]))
+                or not bool(np.all(times[1:] > times[:-1]))):
+            raise ValueError("time runs must be strictly increasing times "
+                             f"with offsets ascending from 0 to {n}")
+        if n:
+            self._check(s, r, o)
+            self._sources.append(_Source(s, r, o, times, offsets))
 
     def _check(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> None:
         """Raise at ingestion, not at the first query, for ids past the
@@ -332,6 +359,23 @@ class TimeAwareFilter:
                  inverse_relations: Optional[int] = None):
         self._blocks = _FactBlocks(facts, inverse_relations)
         self._mask_memo = _MaskMemo()
+
+    @classmethod
+    def from_time_runs(cls, s: np.ndarray, r: np.ndarray, o: np.ndarray,
+                       times: np.ndarray, offsets: np.ndarray,
+                       inverse_relations: Optional[int] = None
+                       ) -> "TimeAwareFilter":
+        """A filter over columns whose row range of each time is known:
+        the facts at ``times[i]`` are rows ``[offsets[i], offsets[i +
+        1])``, as a store file's ``snap_times`` and ``offsets`` sections
+        give them.  No time column is read, so the mapped pages of a
+        store's ``t`` column stay untouched; only the O(times) shape of
+        the runs is checked, and the caller vouches that they match the
+        rows.  The columns are kept as views, as for the constructor.
+        """
+        time_filter = cls([], inverse_relations)
+        time_filter._blocks.adopt_runs(s, r, o, times, offsets)
+        return time_filter
 
     def true_objects(self, s: int, r: int, t: int) -> FrozenSet[int]:
         """All objects o such that (s, r, o, t) is a known fact."""

@@ -10,6 +10,7 @@ can drop them in and run every experiment against the genuine data.
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,7 +20,29 @@ from .quadruples import QuadrupleSet
 
 
 def load_quadruple_file(path: str) -> QuadrupleSet:
-    """Parse a tab/space-separated quadruple file into a QuadrupleSet."""
+    """Parse a tab/space-separated quadruple file into a QuadrupleSet.
+
+    Blank lines and lines starting with ``#`` are skipped, and columns
+    past the fourth are ignored.  One vectorized ``np.loadtxt`` call
+    parses a well-formed file; it takes ``#`` for data, not comments,
+    so any file it cannot parse exactly as the line loop would (a
+    comment line, a short row, a token ``int`` reads but it does not)
+    goes through :func:`_load_quadruple_lines`, which gives the same
+    result or raises the ``path:line`` error.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty file is no error: it loads as no facts.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, dtype=np.int64, usecols=range(4),
+                              ndmin=2, comments=None)
+    except (ValueError, OverflowError):
+        return _load_quadruple_lines(path)
+    return QuadrupleSet(rows)
+
+
+def _load_quadruple_lines(path: str) -> QuadrupleSet:
+    """:func:`load_quadruple_file` one line at a time."""
     rows = []
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):

@@ -14,6 +14,7 @@ from repro.analysis import (EVIDENCE_LABELS, attribute_completions,
                             evidence_label)
 from repro.datasets import load_preset
 from repro.eval import ranks_of_targets
+from repro.interface import ScoreFactors
 from repro.obs import DriftMonitor, ks_statistic
 from repro.serving import (CalibrationConfig, InferenceEngine,
                            ScoreCalibrator, anomaly_auc, protocol,
@@ -251,14 +252,16 @@ class TestScoreOp:
         before_time = engine.last_time
         before_window = engine.calibration.calibrator.state_array().copy()
         before_facts = engine.stats.counters["facts_ingested"]
-        predict = engine.predict
+        batch_scores = engine.batch_scores
 
-        def nan_predict(subjects, relations, time=None):
-            scores = predict(subjects, relations, time=time)
+        def nan_scores(subjects, relations, time=None):
+            factors = batch_scores(subjects, relations, time=time)
+            assert isinstance(factors, ScoreFactors)
+            scores = factors.rows(0, len(subjects))
             scores[1, snap[1, 2]] = np.nan
             return scores
 
-        monkeypatch.setattr(engine, "predict", nan_predict)
+        monkeypatch.setattr(engine, "batch_scores", nan_scores)
         with pytest.raises(ValueError,
                            match=r"NaN target score in query rows \[1\]"):
             engine.advance(snap[:, :3], time=int(snap[0, 3]))
@@ -266,7 +269,7 @@ class TestScoreOp:
         assert engine.stats.counters["facts_ingested"] == before_facts
         np.testing.assert_array_equal(
             engine.calibration.calibrator.state_array(), before_window)
-        monkeypatch.setattr(engine, "predict", predict)
+        monkeypatch.setattr(engine, "batch_scores", batch_scores)
         assert engine.advance(snap[:, :3], time=int(snap[0, 3])) == len(snap)
         assert engine.last_time == int(snap[0, 3])
 

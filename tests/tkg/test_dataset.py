@@ -1,5 +1,7 @@
 """Tests for TKGDataset, snapshots, splits, filters, vocab and IO."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,36 @@ class TestIO:
         path.write_text("0\t1\t2\t3\t0\n")
         qs = load_quadruple_file(str(path))
         assert list(qs) == [(0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\t2\t3\n\n  \n4 0 1 2 9 x\n5\t6\t7\t8\t\n",
+        "# header\n0\t1\t2\t3\n#0 1 2 3\n1 2 3 4 # note\n",
+        "1_0 2 3 4\r5 6 7 8\r",
+        "",
+        "# only a comment\n\n",
+    ])
+    def test_vectorized_load_equals_line_loop(self, tmp_path, text):
+        """Blank lines, ``#`` lines, extra columns, underscores and bare
+        carriage returns load as the line loop loads them, and an empty
+        file loads as no facts without a warning."""
+        import warnings
+        from repro.tkg.io import _load_quadruple_lines
+        path = tmp_path / "facts.txt"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_quadruple_file(str(path))
+        assert loaded == _load_quadruple_lines(str(path))
+        assert loaded.array.dtype == _load_quadruple_lines(
+            str(path)).array.dtype
+
+    def test_load_error_names_path_and_line(self, tmp_path):
+        path = tmp_path / "facts.txt"
+        path.write_text("0 1 2 3\n\n4 5 6\n")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:3: expected >=4 "
+                                 r"columns, got 3$"):
+            load_quadruple_file(str(path))
 
     def test_benchmark_directory_roundtrip(self, tmp_path):
         ds = tiny_dataset()

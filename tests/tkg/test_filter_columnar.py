@@ -56,9 +56,21 @@ def _assert_same_mask(got, want):
         np.testing.assert_array_equal(got_arr, want_arr)
 
 
+def _runs_filter(sets):
+    """``from_time_runs`` over the sets' rows in one time-sorted source,
+    with its time column dropped after deriving the runs."""
+    rows = np.concatenate([qs.array for qs in sets] + [_rows([])])
+    rows = rows[np.argsort(rows[:, 3], kind="stable")]
+    times, starts = np.unique(rows[:, 3], return_index=True)
+    offsets = np.append(starts, len(rows))
+    return TimeAwareFilter.from_time_runs(rows[:, 0], rows[:, 1],
+                                          rows[:, 2], times, offsets)
+
+
 def _check(initial, operations):
     sets = [QuadrupleSet(_rows(quads)) for quads in initial]
-    filt, oracle = TimeAwareFilter(sets), ReferenceTimeAwareFilter(sets)
+    filters = [TimeAwareFilter(sets), _runs_filter(sets)]
+    oracle = ReferenceTimeAwareFilter(sets)
     seen = [quad for quads in initial for quad in quads]
     for op in operations:
         if op[0] == "add":
@@ -66,7 +78,8 @@ def _check(initial, operations):
             facts = _rows(op[1])
             if len(seen) % 2:
                 facts = QuadrupleSet(facts)
-            filt.add_facts(facts)
+            for filt in filters:
+                filt.add_facts(facts)
             oracle.add_facts(facts)
             seen.extend(op[1])
             continue
@@ -74,17 +87,20 @@ def _check(initial, operations):
         subjects, relations, targets = (
             np.array([q[i] for q in queries], dtype=np.int64)
             for i in range(3))
-        for _ in range(2):                     # the second call is memoized
-            _assert_same_mask(
-                filt.mask_indices_for_batch(subjects, relations, time,
-                                            targets),
-                oracle.mask_indices_for_batch(subjects, relations, time,
-                                              targets))
-        for s, r in zip(subjects.tolist(), relations.tolist()):
-            assert filt.true_objects(s, r, time) \
-                == oracle.true_objects(s, r, time)
+        for filt in filters:
+            for _ in range(2):                 # the second call is memoized
+                _assert_same_mask(
+                    filt.mask_indices_for_batch(subjects, relations, time,
+                                                targets),
+                    oracle.mask_indices_for_batch(subjects, relations,
+                                                  time, targets))
+            for s, r in zip(subjects.tolist(), relations.tolist()):
+                assert filt.true_objects(s, r, time) \
+                    == oracle.true_objects(s, r, time)
     for s, r, _, t in seen:
-        assert filt.true_objects(s, r, t) == oracle.true_objects(s, r, t)
+        for filt in filters:
+            assert filt.true_objects(s, r, t) \
+                == oracle.true_objects(s, r, t)
     if seen:
         everything = [QuadrupleSet(_rows(seen))]
         static_filter = StaticFilter(everything)
@@ -185,3 +201,19 @@ def test_adds_at_a_stored_time_rebuild_only_that_block():
     for t in (0, 2):
         assert filt._blocks.block(t) is blocks[t]
     assert filt._blocks.block(1) is not blocks[1]
+
+
+def test_time_runs_must_fit_the_rows():
+    s = r = o = np.zeros(3, dtype=np.int32)
+    for times, offsets in (([0, 1], [0, 2]),          # one offset short
+                           ([0, 1], [0, 2, 4]),       # past the rows
+                           ([0, 1], [1, 2, 3]),       # not from 0
+                           ([0, 1, 2], [0, 2, 1, 3]),  # decreasing
+                           ([1, 1], [0, 2, 3])):      # repeated time
+        with pytest.raises(ValueError):
+            TimeAwareFilter.from_time_runs(s, r, o, np.array(times),
+                                           np.array(offsets))
+    filt = TimeAwareFilter.from_time_runs(s, r, o, np.array([2, 5]),
+                                          np.array([0, 3, 3]))
+    assert filt.true_objects(0, 0, 2) == {0}
+    assert filt.true_objects(0, 0, 5) == frozenset()
