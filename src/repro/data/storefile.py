@@ -52,6 +52,7 @@ from ..history import HistoryStore
 from ..core.subgraph import GlobalHistoryIndex, TripleIndex
 from ..tkg.dataset import Snapshot, TKGDataset
 from ..tkg.quadruples import FACT_DTYPE, QuadrupleSet
+from ..utils.atomic import atomic_write
 
 MAGIC = b"RPROHST\x01"
 VERSION = 2
@@ -139,7 +140,9 @@ def write_store_facts(path: str, facts: QuadrupleSet, num_entities: int,
     in-memory store bitwise.  Their triple index is derived here, once
     (:meth:`repro.core.subgraph.TripleIndex.derive`, the same function
     an in-memory store runs on its first lookup).  The bytes are a pure
-    function of the arguments.
+    function of the arguments.  The file replaces ``path`` atomically
+    (:func:`repro.utils.atomic_write`): a write that fails or crashes
+    midway leaves any previous file at ``path`` intact.
     """
     augmented = facts.with_inverses(num_relations)
     arr = augmented.array
@@ -165,7 +168,7 @@ def write_store_facts(path: str, facts: QuadrupleSet, num_entities: int,
                                  int(num_relations), num_triples,
                                  triples.num_entities)
     assert len(header) == HEADER_BYTES
-    with open(path, "wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(header)
         for name, dtype, offset, count in sections:
             handle.seek(offset)

@@ -14,6 +14,10 @@ an unbounded dict on the training ``HistoryContext`` and two hand-rolled
   answers, so the forward and inverse phases of one timestamp seed
   *different* subgraphs and may not share one merged edge set).
 
+Entries are keyed by query time, so :meth:`ContextCache.retire` drops
+every one outside a time range in one call: the serving engine retires
+what its forward-only reads can no longer reach.
+
 :func:`array_key` is the shared helper for keying on array contents; it
 folds in dtype and length so byte-aliased arrays of different widths
 (``int64 [0]`` vs ``int32 [0, 0]``) can never share an entry.
@@ -174,16 +178,25 @@ class ContextCache:
         self.subgraphs.put(key, value)
         return value
 
-    # -- invalidation ---------------------------------------------------
-    def invalidate_after(self, time: int) -> None:
-        """Drop entries whose query time exceeds ``time``.
+    # -- retirement -----------------------------------------------------
+    def retire(self, below: int, after: Optional[int] = None) -> int:
+        """Drop entries keyed at a query time ``< below`` or ``> after``;
+        returns how many were dropped.
 
-        Called on snapshot ingestion: anything cached for a query time
-        beyond the new snapshot now has a stale history; entries at or
-        before it are unaffected.
+        ``below`` is a query horizon: a consumer whose reads only move
+        forward in time (the serving engine) can never reach a key below
+        it again.  ``after`` is a newly ingested snapshot's time: a key
+        beyond it was built from a history that now misses that
+        snapshot.  A key at the snapshot's own time stays valid, since a
+        query at ``t`` sees only facts before ``t``; whether it is still
+        reachable is for ``below`` to say.  The training
+        ``HistoryContext`` never calls this: each epoch rewinds its
+        index, so every key becomes reachable again.
         """
-        self.contexts.evict_if(lambda key: key > time)
-        self.subgraphs.evict_if(lambda key: key[0] > time)
+        def unreachable(time: int) -> bool:
+            return time < below or (after is not None and time > after)
+        return (self.contexts.evict_if(unreachable)
+                + self.subgraphs.evict_if(lambda key: unreachable(key[0])))
 
     def clear(self) -> None:
         """Drop both layers (model changed; nothing remains valid)."""

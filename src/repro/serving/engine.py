@@ -24,16 +24,18 @@ into an ingest-then-answer service:
   ranks from it one row block at a time, so no ``(Q, |E|)`` matrix
   exists for them.
 
-Memory model: the score memo holds entries of the current watermark
-only — every watermark move (:meth:`InferenceEngine.advance`,
-:meth:`InferenceEngine.use_store_file`,
-:meth:`InferenceEngine.restore_state`) empties it, since no query can
-reach an older watermark again.  So an ``advance``, calibrated or not,
-leaves no score matrix behind.  What a long-running engine keeps
-besides the ingested facts is capped in entries by the cache
-capacities: ``score_cache_size`` matrices of the current watermark,
-``context_cache_size`` encoder contexts and the subgraph LRU's merged
-subgraphs (which counts entries, not bytes).
+Memory model: every cache is scoped to what a request can still
+reach.  Reads only move forward in time, so an entry keyed below the
+history index's horizon is dead: the first read past the last
+retirement point drops every encoder context, merged subgraph and score
+memo entry keyed below its anchor, before it builds anything, and
+:meth:`InferenceEngine.advance` drops them too, together with entries
+keyed after the new snapshot (their history is stale) and every memo
+entry of the older watermark.  So a long stream keeps, besides the
+ingested facts, only entries at or past its query horizon, whatever
+its length; the capacities (``score_cache_size`` matrices,
+``context_cache_size`` contexts, the subgraph LRU's 512 entries) cap
+what many distinct reads at one horizon can hold.
 
 Predictions are numerically identical to the cold batch path
 (``model.predict_on`` over a fresh :class:`HistoryContext`): the engine
@@ -205,7 +207,9 @@ class InferenceEngine:
     increasing snapshot timestamps, and a ``predict`` at time ``t`` pins
     the history index at ``t`` so later calls may not go back before it.
     Queries at time ``t`` see exactly the facts ingested with timestamps
-    ``< t`` — the same extrapolation contract as batch evaluation.
+    ``< t`` — the same extrapolation contract as batch evaluation.  The
+    engine's caches follow the contract: what is keyed below the
+    horizon is retired (see the module's memory model).
     """
 
     def __init__(self, model, num_entities: int, num_relations: int,
@@ -228,6 +232,8 @@ class InferenceEngine:
         self.cache = ContextCache(telemetry=self.stats,
                                   context_capacity=context_cache_size)
         self._score_cache = LRUCache(score_cache_size)
+        # Every cache entry keyed below this time has been retired.
+        self._retired_below = -1
         self._calibration = None
 
     # -- score calibration ----------------------------------------------
@@ -392,8 +398,7 @@ class InferenceEngine:
             filter=TimeAwareFilter.from_time_runs(
                 arrays["s"], arrays["r"], arrays["o"],
                 arrays["snap_times"], arrays["offsets"]))
-        self.cache.clear()
-        self._score_cache.clear()
+        self._clear_caches()
         self._read_state = replace(self._read_state,
                                    store_path=store.backing_path)
         self.stats.incr("facts_ingested", info.num_facts)
@@ -435,16 +440,41 @@ class InferenceEngine:
             augmented = self.history.extend(arr, time)
             self.filter.add_facts(augmented)
             # Encoder contexts and subgraphs for a query time beyond the
-            # new snapshot now have a stale history; times at or before
-            # it are unaffected.  Every score memo entry was computed at
-            # the old watermark, which no query can reach again, so the
-            # memo is emptied rather than left holding dead matrices.
-            self.cache.invalidate_after(time)
-            self._score_cache.clear()
+            # new snapshot now have a stale history; those at its time
+            # stay valid (a query at t sees facts before t only) but,
+            # like every entry, go once the horizon passes them.  Every
+            # memo entry is of the old watermark, which no query can
+            # reach again.
+            self._retire(self.history.index.horizon, after=time)
             self.last_time = time
             self.stats.incr("facts_ingested", len(arr))
             self.stats.incr("snapshots_ingested")
+            self.stats.observe("context_cache_entries",
+                               len(self.cache.contexts))
+            self.stats.observe("subgraph_cache_entries",
+                               len(self.cache.subgraphs))
+            self.stats.observe("score_cache_entries", len(self._score_cache))
         return len(arr)
+
+    # -- cache scope ----------------------------------------------------
+    def _retire(self, below: int, after: Optional[int] = None) -> None:
+        """Drop every cached entry no later request can reach: contexts,
+        subgraphs and memo entries keyed below ``below`` or after
+        ``after`` (see :meth:`ContextCache.retire`), and memo entries of
+        an older watermark."""
+        watermark = self.watermark
+        retired = self.cache.retire(below, after)
+        retired += self._score_cache.evict_if(
+            lambda key: key[0] != watermark or key[1] < below)
+        self._retired_below = max(self._retired_below, below)
+        if retired:
+            self.stats.incr("cache_entries_retired", retired)
+
+    def _clear_caches(self) -> None:
+        """Empty every cache (the history was replaced)."""
+        self.cache.clear()
+        self._score_cache.clear()
+        self._retired_below = -1
 
     # -- query-time state -----------------------------------------------
     @property
@@ -477,8 +507,11 @@ class InferenceEngine:
         Public counterpart of
         :meth:`repro.training.context.HistoryContext.global_edges`; the
         two are asserted bitwise-identical on shared streams by
-        ``tests/integration/test_history_parity.py``.
+        ``tests/integration/test_history_parity.py``.  A time behind the
+        index's horizon is refused whether or not the batch is cached:
+        a lookup answers only what a rebuild would.
         """
+        self._refuse_behind_horizon(query_time)
         return self.cache.subgraph(
             query_time, subjects, relations,
             lambda: self.history.subgraph(query_time, subjects, relations))
@@ -544,17 +577,32 @@ class InferenceEngine:
     def _queries(self, subjects: np.ndarray, relations: np.ndarray,
                  anchor: int) -> Tuple[np.ndarray, np.ndarray]:
         """Aligned int64 query arrays; raises when ``anchor`` is behind
-        the history index's horizon."""
+        the history index's horizon.
+
+        Every read passes here first, so this is where the horizon rule
+        runs, before the read builds anything: it retires every entry
+        keyed below the horizon the read leaves behind, ``anchor`` when
+        it is served (the read pins the index there) and the current
+        horizon when it is refused.  A read that does not move past the
+        last retirement point scans nothing.
+        """
         subjects = np.ascontiguousarray(subjects, dtype=np.int64)
         relations = np.ascontiguousarray(relations, dtype=np.int64)
         if subjects.shape != relations.shape or subjects.ndim != 1:
             raise ValueError("subjects/relations must be aligned 1-D arrays")
+        horizon = max(anchor, self.history.index.horizon)
+        if horizon > self._retired_below:
+            self._retire(horizon)
+        self._refuse_behind_horizon(anchor)
+        return subjects, relations
+
+    def _refuse_behind_horizon(self, anchor: int) -> None:
+        """Raise when ``anchor`` is behind the history index's horizon."""
         if anchor < self.history.index.horizon:
             raise ValueError(
                 f"queries must advance monotonically in time: the index is "
                 f"already at t={self.history.index.horizon}, "
                 f"asked {anchor}")
-        return subjects, relations
 
     def _forward(self, subjects: np.ndarray, relations: np.ndarray,
                  target: int, anchor: int, factored: bool = False):
@@ -587,7 +635,8 @@ class InferenceEngine:
         content-identical to the target-time one (no facts in between),
         so horizon entries agree with genuine predicts at the target
         and horizons never collide with each other.  It holds entries
-        of the current watermark only: every watermark move empties it.
+        of the current watermark only, targeted at or past the horizon
+        (see :meth:`_retire`).
         """
         subjects, relations = self._queries(subjects, relations, anchor)
         memo_enabled = (self._score_cache.capacity > 0
@@ -720,8 +769,7 @@ class InferenceEngine:
         self._delta = DeltaState(
             history=HistoryStore.streaming(self.num_relations),
             filter=TimeAwareFilter([]))
-        self.cache.clear()
-        self._score_cache.clear()
+        self._clear_caches()
         self._read_state = replace(self._read_state, store_path=None)
         if "store_path" in state:
             # Re-adopt the backing file, then replay only the delta the

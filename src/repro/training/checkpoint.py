@@ -9,6 +9,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..nn import Module
+from ..utils.atomic import atomic_write
 
 
 def save_checkpoint(model: Module, path: str,
@@ -57,7 +58,9 @@ def save_engine_state(engine, path: str,
     engine backed by a store file the archive records the backing path
     (``__serving_store__``) and **only the post-adoption delta facts**
     — restore re-maps the file and replays just the delta, never a
-    duplicated copy of the mapped history.
+    duplicated copy of the mapped history.  The archive replaces
+    ``path`` atomically (:func:`repro.utils.atomic_write`), so a crash
+    mid-save leaves the previous snapshot readable.
     """
     state = engine.model.state_dict()
     for reserved in _ENGINE_KEYS:
@@ -76,7 +79,9 @@ def save_engine_state(engine, path: str,
     payload["__metadata__"] = np.frombuffer(
         json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.savez(path if path.endswith(".npz") else path + ".npz", **payload)
+    with atomic_write(path if path.endswith(".npz")
+                      else path + ".npz") as handle:
+        np.savez(handle, **payload)
 
 
 def load_engine_state(engine, path: str) -> Dict[str, Any]:

@@ -110,14 +110,26 @@ class TestByteAliasedKeys:
             assert len(cache.subgraphs) <= 3
             assert len(cache.contexts) <= 2
 
-    def test_invalidate_after(self):
-        cache = ContextCache()
-        for t in (1, 5, 9):
-            cache.subgraph(t, np.array([0]), np.array([0]), lambda: (t,))
-            cache.context(t, lambda: t)
-        cache.invalidate_after(5)
+    def test_retire_outside_horizon_and_snapshot(self):
+        def filled():
+            cache = ContextCache()
+            for t in (1, 5, 9):
+                cache.subgraph(t, np.array([0]), np.array([0]), lambda: (t,))
+                cache.context(t, lambda: t)
+            return cache
+
+        cache = filled()
+        assert cache.retire(-1, after=5) == 2
         assert sorted(cache.contexts) == [1, 5]
         assert sorted(key[0] for key in cache.subgraphs) == [1, 5]
+        cache = filled()
+        assert cache.retire(5) == 2
+        assert sorted(cache.contexts) == [5, 9]
+        assert sorted(key[0] for key in cache.subgraphs) == [5, 9]
+        cache = filled()
+        assert cache.retire(5, after=5) == 4
+        assert list(cache.contexts) == [5]
+        assert [key[0] for key in cache.subgraphs] == [5]
 
 
 class TestHistoryContextBound:

@@ -7,6 +7,7 @@ retained allocation sites.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ def test_smoke_replay_profile():
     for op in ("advance", "predict", "rank", "score", "forecast"):
         assert f"    {op} " in out
     assert out.count("facts  VmHWM") == 3
+    assert len(re.findall(r"entries \d+/\d+/\d+", out)) == 3
     assert "load dataset directory" in out and "use_store_file" in out
     assert "digests: responses" in out
     assert "source lines by bytes retained" in out

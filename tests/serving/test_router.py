@@ -381,6 +381,36 @@ class TestHTTPSurface:
         finally:
             router.stop()
 
+    def test_stats_merge_per_replica_cache_entries(self, dataset,
+                                                   store_path):
+        """Each replica reports its cache entries after every advance,
+        and the reads after an advance retire what the advance's time
+        left behind."""
+        served = _engine(dataset, store_path)
+        router = serve_in_thread(ReplicaSetRouter(
+            served, RouterConfig(replicas=2, prefer_fork=False)))
+        try:
+            client = Client(router.address)
+            queries = dataset.test.array[:3, :2].tolist()
+            t = int(served.next_time)
+            assert client.request({"op": "advance", "time": t,
+                                   "facts": dataset.valid.array[:4, :3]
+                                   .tolist()})["ok"]
+            for _ in range(2):
+                assert client.request({"op": "predict",
+                                       "queries": queries})["ok"]
+            stats = client.request({"op": "stats"})["stats"]
+            client.close()
+            for i in range(2):
+                for name in ("context", "subgraph", "score"):
+                    series = stats["scalars"][
+                        f"replica{i}/{name}_cache_entries"]
+                    assert series["count"] == 1
+                assert stats["counters"][
+                    f"replica{i}/cache_entries_retired"] > 0
+        finally:
+            router.stop()
+
     def test_stats_reports_watermark_age(self, dataset, store_path):
         """/stats carries seconds-since-last-advance; an advance resets it.
 

@@ -16,7 +16,8 @@ Prints the set-up steps in order (the dataset directory load a
 ``serve --dataset DIR`` start pays, ``from_checkpoint`` and
 ``use_store_file``), each with its time and the process's peak
 resident set (``VmHWM``) after it; each op's request count and median
-and largest time; after each ``advance``, ``VmHWM`` and glibc's heap
+and largest time; after each ``advance``, ``VmHWM``, the entries the
+engine's context, subgraph and score caches hold, and glibc's heap
 arena and the free bytes inside it (``mallinfo2``); digests of the
 responses, the calibration window and the drift series, which must
 not change when only performance does.  A second replay on a fresh
@@ -136,6 +137,18 @@ def answer(engine, request) -> dict:
         return protocol.error_response(exc, body)
 
 
+def cache_entries(engine) -> str:
+    """The cache entry counts the engine reported after its last
+    advance (n/a on a checkout that does not report them)."""
+    scalars = engine.stats.scalars
+    if "context_cache_entries" not in scalars:
+        return "entries n/a"
+    contexts, subgraphs, memo = (
+        int(scalars[f"{name}_cache_entries"].recent[-1])
+        for name in ("context", "subgraph", "score"))
+    return f"entries {contexts}/{subgraphs}/{memo}"
+
+
 def digest(value) -> str:
     return hashlib.sha256(value).hexdigest()[:16]
 
@@ -170,7 +183,7 @@ def main(argv=None) -> int:
             if request.write:
                 advances.append((request.body["time"],
                                  len(request.body["facts"]), vm_hwm_mb(),
-                                 heap_mb()))
+                                 cache_entries(engine), heap_mb()))
         window = engine.calibration.calibrator.state_array()
         drift = {name: series for name, series in
                  engine.stats.as_dict()["scalars"].items()
@@ -204,13 +217,14 @@ def main(argv=None) -> int:
         print(f"    {op:<10} {len(values):5d}  median "
               f"{1e3 * statistics.median(values):8.2f} ms  max "
               f"{1e3 * max(values):8.2f} ms")
-    print("  after each advance: VmHWM, glibc heap arena and its free "
-          "bytes, bytes retained (traced replay):")
-    for (time_, facts, hwm, heap), kept in zip(advances, retained):
+    print("  after each advance: VmHWM, cache entries (contexts/"
+          "subgraphs/score memo), glibc heap arena and its free bytes, "
+          "bytes retained (traced replay):")
+    for (time_, facts, hwm, entries, heap), kept in zip(advances, retained):
         arena = ("arena     n/a" if heap is None
                  else f"arena {heap[0]:7.1f} MB  free {heap[1]:7.1f} MB")
         print(f"    t={time_:<6d} {facts:5d} facts  VmHWM {hwm:7.1f} MB  "
-              f"{arena}  retained {kept / 2**20:7.2f} MiB")
+              f"{entries}  {arena}  retained {kept / 2**20:7.2f} MiB")
     print(f"  digests: responses "
           f"{digest(json.dumps(responses, sort_keys=True).encode())}  "
           f"calibration window {digest(window.tobytes())} "
